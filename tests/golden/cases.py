@@ -14,6 +14,7 @@ Regenerate after an intentional numerics/cost-model change with::
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -147,4 +148,222 @@ def run_mutable_case(name, engine, metric, params):
         "shape": list(distances.shape),
         "distances_hex": [v.hex() for v in distances.ravel()],
         "indices": [int(i) for i in indices.ravel()],
+    }
+
+
+# ----------------------------------------------------------------------
+# observability: every recorded fact, pinned byte for byte
+# ----------------------------------------------------------------------
+OBS_FIXTURE_PATH = Path(__file__).parent / "fixtures" / "observability.json"
+
+#: Observability golden cases: each runs one component with a
+#: MetricsRegistry, Tracer and Telemetry attached (``n_workers=1``).
+OBS_CASES = ("obs/server", "obs/dist", "obs/mutable")
+
+#: The server scenario: ``(arrival_ms, rows, priority, deadline slack)``;
+#: a zero-row entry drains the forming batch at that time instead.
+_SERVER_SCRIPT = (
+    (0.00, 1, 0, 0.5), (0.00, 1, 1, 0.5), (0.00, 1, 2, 0.5),
+    (0.00, 1, 0, 0.5),                      # queue-depth rejection
+    (0.01, 0, 0, 0.0),
+    (0.10, 2, 0, 0.001), (0.10, 1, 1, 0.001),  # deadline misses
+    (0.11, 0, 0, 0.0),
+    (0.30, 1, 2, 0.5), (0.31, 2, 1, 0.5),   # shed + degrade
+    (0.32, 1, 0, 0.5), (0.33, 1, 2, 0.5),
+    (0.60, 1, 1, 0.5), (0.61, 3, 0, 0.5),
+    (2.50, 1, 2, 0.5), (2.51, 1, 1, 0.5),
+)
+
+
+def _obs_sinks():
+    from repro.obs import MetricsRegistry, Telemetry, Tracer
+    from repro.obs.telemetry import SamplingPolicy
+
+    metrics = MetricsRegistry()
+    telemetry = Telemetry(policy=SamplingPolicy(head_rate=0.3, seed=1),
+                          metrics=metrics)
+    return Tracer(), metrics, telemetry
+
+
+def _run_obs_server(tracer, metrics, telemetry):
+    """2 shards x 2 replicas behind admission and the shed ladder; shard 0
+    replica 0 needs a retry and a watermark resume per batch, shard 1
+    replica 0 never survives and fails over to its sibling."""
+    from repro.errors import AdmissionRejected
+    from repro.faults import (
+        FaultInjector,
+        FaultKind,
+        FaultSpec,
+        RecoveryPolicy,
+        fatal_specs,
+    )
+    from repro.obs.slo import SLObjective, SLOMonitor
+    from repro.serve import (
+        AdmissionController,
+        BackpressureController,
+        Server,
+        ShardedIndex,
+    )
+    from repro.testing import skewed_csr
+
+    corpus = skewed_csr(60, 24, seed=DEFAULT_SEED, scale=6, floor=1, cap=20)
+    rng = seeded_rng(DEFAULT_SEED + 2)
+    index = ShardedIndex.build(corpus, metric="euclidean", n_shards=2,
+                               n_replicas=2)
+    monitor = SLOMonitor(metrics, (SLObjective(
+        name="miss", kind="ratio", numerator="serve_deadline_missed_total",
+        denominator="serve_requests_total", threshold=0.1),),
+        window_ms=1.0)
+    injectors = {
+        (0, 0): FaultInjector([FaultSpec(FaultKind.TRANSIENT, tiles=(0,),
+                                         attempts=(0, 1))], seed=1),
+        (1, 0): FaultInjector(fatal_specs(), seed=2),
+    }
+    server = Server(index, max_batch_rows=4, max_wait_ms=0.05, n_workers=1,
+                    recovery=RecoveryPolicy(max_retries=1),
+                    fault_injectors=injectors, max_shard_resumes=1,
+                    admission=AdmissionController(max_queue_depth=3),
+                    backpressure=BackpressureController(
+                        monitor, poll_interval_ms=0.0),
+                    trace=tracer, metrics=metrics, telemetry=telemetry)
+    for arrival, rows, priority, slack in _SERVER_SCRIPT:
+        if rows == 0:
+            server.drain(now_ms=arrival)
+            continue
+        queries = random_csr(rng, rows, corpus.n_cols, 0.3)
+        try:
+            server.submit(queries, 4, arrival_ms=arrival,
+                          deadline_ms=arrival + slack, priority=priority)
+        except AdmissionRejected:
+            pass
+    server.drain()
+
+
+def _run_obs_dist(tracer, metrics, telemetry):
+    """A 2-D grid whose first transfer retries once and whose last one
+    aborts; the same executor then resumes from the watermark."""
+    from repro.datasets.synthetic import make_skewed
+    from repro.dist import (
+        DistributedExecutor,
+        LinkFaultInjector,
+        build_distributed_plan,
+    )
+    from repro.errors import ExecutionFaultError
+    from repro.faults import FaultSpec, RecoveryPolicy
+
+    a = make_skewed(24, 30, mean_degree=6, sigma=1.0, seed=71)
+    b = make_skewed(28, 30, mean_degree=6, sigma=1.0, seed=72)
+    plan = build_distributed_plan(a, b, "euclidean", k=4, n_devices=4,
+                                  partition="2d", interconnect="network")
+    executor = DistributedExecutor(plan, n_workers=1,
+                                   recovery=RecoveryPolicy(),
+                                   tracer=tracer, metrics=metrics,
+                                   telemetry=telemetry)
+    fatal_step = executor.n_steps - 1
+    executor.link_faults = LinkFaultInjector(
+        (FaultSpec("transient", tiles=(0,), attempts=(0,)),
+         FaultSpec("transient", tiles=(fatal_step,),
+                   attempts=tuple(range(16)))), seed=0)
+    try:
+        executor.execute()
+    except ExecutionFaultError as err:
+        watermark = err.watermark
+    else:  # pragma: no cover - the schedule always aborts
+        raise AssertionError("the link-fault schedule did not abort")
+    executor.link_faults = None
+    executor.execute(resume_from=watermark)
+
+
+def _run_obs_mutable(tracer, metrics, telemetry):
+    """Upserts and deletes, a compaction that faults and is resumed, then
+    a no-op compaction."""
+    from repro.errors import CompactionFaultError
+    from repro.faults import FaultInjector, fatal_specs
+    from repro.serve import MutableIndex
+
+    corpus, _, script = canonical_mutation_script()
+    index = MutableIndex.build(corpus, metric="euclidean", n_shards=3,
+                               compact_threshold_rows=10 ** 9,
+                               tracer=tracer, metrics=metrics,
+                               telemetry=telemetry)
+    for kind, ids, rows in script:
+        if kind == "upsert":
+            index.upsert(np.asarray(ids, dtype=np.int64), rows)
+        else:
+            index.delete(np.asarray(ids, dtype=np.int64))
+    try:
+        index.compact(now_ms=1.0, fault_injector=FaultInjector(
+            fatal_specs(tiles=(1,)), seed=5))
+    except CompactionFaultError:
+        pass
+    index.compact(now_ms=2.0)
+    index.compact(now_ms=3.0)
+
+
+_OBS_RUNNERS = {
+    "obs/server": _run_obs_server,
+    "obs/dist": _run_obs_dist,
+    "obs/mutable": _run_obs_mutable,
+}
+
+
+def _plain(value):
+    """JSON-ready copy of a span/event argument (numpy scalars unwrapped,
+    tuples as lists)."""
+    if isinstance(value, dict):
+        return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
+def _span_node(span) -> dict:
+    """One span in the canonical order of ``Tracer.span_tree`` with its
+    simulated seconds, args and events (wall time left out)."""
+    children = sorted(span.children, key=lambda s: (
+        s.name, s.args.get("tile", -1), s.category))
+    node = {
+        "name": span.name,
+        "category": span.category,
+        "status": span.status,
+        "sim_seconds": span.sim_seconds,
+        "args": _plain(span.args),
+        "events": [{"name": e.name, "category": e.category,
+                    "seconds": e.seconds, "args": _plain(e.args)}
+                   for e in span.events],
+        "children": [_span_node(c) for c in children],
+    }
+    if not span.finished:
+        node["unfinished"] = True
+    return node
+
+
+def run_obs_case(name: str) -> dict:
+    """Run one observability case; returns the JSON-ready record."""
+    tracer, metrics, telemetry = _obs_sinks()
+    _OBS_RUNNERS[name](tracer, metrics, telemetry)
+    sampling = telemetry.finalize()
+    exemplars = {}
+    for metric_name in metrics.names():
+        inst = metrics.get(metric_name)
+        if inst.kind != "histogram":
+            continue
+        for entry in inst._json():
+            if "exemplars" in entry:
+                exemplars.setdefault(metric_name, []).append(
+                    {"labels": entry["labels"],
+                     "exemplars": entry["exemplars"]})
+    roots = sorted(tracer.roots,
+                   key=lambda s: (s.name, s.args.get("tile", -1)))
+    return {
+        "prometheus": metrics.to_prometheus_text().splitlines(),
+        "metrics_json": metrics.to_json(),
+        "events": [json.dumps(e, sort_keys=True) for e in telemetry.events],
+        "sampling": json.dumps(sampling.as_dict(), sort_keys=True),
+        "exemplars": exemplars,
+        "span_tree": json.dumps(tracer.span_tree(), sort_keys=True),
+        "spans": json.dumps([_span_node(r) for r in roots],
+                            sort_keys=True),
     }

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Regenerate ``tests/golden/fixtures/pairwise.json``.
+"""Regenerate the golden fixtures under ``tests/golden/fixtures/``.
 
-Run after an *intentional* change to kernel numerics or the cost model::
+Run after an *intentional* change to kernel numerics, the cost model, or
+what the observability layer records::
 
     PYTHONPATH=src python tests/golden/regen.py
 
@@ -21,8 +22,11 @@ from tests.golden.cases import (  # noqa: E402
     FIXTURE_PATH,
     MUTABLE_CASES,
     MUTABLE_FIXTURE_PATH,
+    OBS_CASES,
+    OBS_FIXTURE_PATH,
     run_case,
     run_mutable_case,
+    run_obs_case,
 )
 
 
@@ -48,6 +52,17 @@ def regenerate_mutable() -> dict:
     return doc
 
 
+def regenerate_obs() -> dict:
+    doc = {"_comment": ("observability golden fixtures (metrics, events, "
+                        "sampling, exemplars, spans); regenerate with "
+                        "`PYTHONPATH=src python tests/golden/regen.py`"),
+           "cases": {}}
+    for name in OBS_CASES:
+        print(f"  {name} ...", flush=True)
+        doc["cases"][name] = run_obs_case(name)
+    return doc
+
+
 def main() -> None:
     doc = regenerate()
     FIXTURE_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -58,6 +73,10 @@ def main() -> None:
         json.dumps(mutable_doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {len(mutable_doc['cases'])} cases to "
           f"{MUTABLE_FIXTURE_PATH}")
+    obs_doc = regenerate_obs()
+    OBS_FIXTURE_PATH.write_text(
+        json.dumps(obs_doc, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(obs_doc['cases'])} cases to {OBS_FIXTURE_PATH}")
 
 
 if __name__ == "__main__":

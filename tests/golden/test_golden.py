@@ -17,8 +17,11 @@ from tests.golden.cases import (
     FIXTURE_PATH,
     MUTABLE_CASES,
     MUTABLE_FIXTURE_PATH,
+    OBS_CASES,
+    OBS_FIXTURE_PATH,
     run_case,
     run_mutable_case,
+    run_obs_case,
 )
 
 REGEN_HINT = ("golden mismatch — if this change is intentional, run "
@@ -102,3 +105,40 @@ def test_mutable_golden(mutable_fixtures, name, engine, metric, params):
             f"{want_d[i]!r}. {REGEN_HINT}")
     assert got["indices"] == want["indices"], (
         f"{name}: neighbor ids drifted. {REGEN_HINT}")
+
+
+@pytest.fixture(scope="module")
+def obs_fixtures():
+    assert OBS_FIXTURE_PATH.exists(), (
+        f"{OBS_FIXTURE_PATH} missing; generate it with "
+        "`PYTHONPATH=src python tests/golden/regen.py`")
+    return json.loads(OBS_FIXTURE_PATH.read_text())["cases"]
+
+
+def test_obs_fixture_covers_every_case(obs_fixtures):
+    assert sorted(obs_fixtures) == sorted(OBS_CASES)
+
+
+@pytest.mark.parametrize("name", OBS_CASES)
+def test_obs_golden(obs_fixtures, name):
+    """Everything the observability layer records for a fixed run —
+    Prometheus text, metrics JSON, wide events, sampling decisions,
+    exemplars, and the span forest with simulated seconds and args —
+    matches the fixture byte for byte."""
+    want = obs_fixtures[name]
+    got = run_obs_case(name)
+    assert sorted(got) == sorted(want), REGEN_HINT
+    for field in sorted(want):
+        if got[field] == want[field]:
+            continue
+        if isinstance(want[field], list):
+            first = next((i for i, (g, w) in enumerate(
+                zip(got[field], want[field])) if g != w),
+                min(len(got[field]), len(want[field])))
+            got_at = got[field][first] if first < len(got[field]) else None
+            want_at = (want[field][first] if first < len(want[field])
+                       else None)
+            raise AssertionError(
+                f"{name}: {field} drifted at entry {first}: got "
+                f"{got_at!r} want {want_at!r}. {REGEN_HINT}")
+        raise AssertionError(f"{name}: {field} drifted. {REGEN_HINT}")
