@@ -44,14 +44,13 @@ from repro.faults.spec import FaultEvent, FaultKind
 from repro.gpusim.interconnect import simulate_transfer
 from repro.neighbors.topk import TopKAccumulator
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.record import observer
 from repro.obs.telemetry import Telemetry, deterministic_trace_id
 from repro.obs.tracer import (
     NULL_SPAN,
     Tracer,
     current_trace_context,
     get_default_tracer,
-    pop_metrics,
-    push_metrics,
     shielded_trace_context,
 )
 from repro.plan.consumers import TopKConsumer
@@ -125,6 +124,7 @@ class DistributedExecutor:
         self.tracer = tracer if tracer is not None else get_default_tracer()
         self.metrics = metrics
         self.telemetry = telemetry
+        self._obs = observer(self.tracer, metrics, telemetry)
         part = plan.partition
         self._trace_id = (current_trace_context()
                           or deterministic_trace_id(
@@ -136,7 +136,6 @@ class DistributedExecutor:
                if s.phase.startswith("allgather")]
         post = [s for s in plan.comm_steps
                 if not s.phase.startswith("allgather")]
-        part = plan.partition
         coords = [(r, c) for r in range(part.grid_rows)
                   for c in range(part.grid_cols)]
         #: the watermarked step sequence: ("comm", step) | ("compute", rc)
@@ -179,22 +178,17 @@ class DistributedExecutor:
                 f"same executor instance that aborted")
         self._resumed_from = resume_from
         plan = self.plan
-        tracer = self.tracer
-        root = NULL_SPAN
-        if tracer.enabled:
-            part = plan.partition
-            root = tracer.span(
-                "dist.execute", "dist",
-                partition=part.name, grid_rows=part.grid_rows,
-                grid_cols=part.grid_cols, k=plan.k,
-                interconnect=plan.interconnect.name,
-                n_workers=part.n_devices, lanes=self.n_workers,
-                resume_from=resume_from)
-        self._root_span = root if tracer.enabled else None
-        if self.metrics is not None:
-            push_metrics(self.metrics)
+        part = plan.partition
+        root = self.tracer.span(
+            "dist.execute", "dist",
+            partition=part.name, grid_rows=part.grid_rows,
+            grid_cols=part.grid_cols, k=plan.k,
+            interconnect=plan.interconnect.name,
+            n_workers=part.n_devices, lanes=self.n_workers,
+            resume_from=resume_from)
+        self._root_span = root
         try:
-            with root:
+            with self._obs, root:
                 index = self._done
                 while index < len(self._steps):
                     kind, payload = self._steps[index]
@@ -205,43 +199,29 @@ class DistributedExecutor:
                     else:
                         index = self._run_compute_block(index)
                 value = self._assemble()
-                simulated = max(self._clocks)
-                if tracer.enabled:
-                    root.set_sim_seconds(simulated)
         finally:
-            if self.metrics is not None:
-                pop_metrics()
-            self._root_span = None
+            self._root_span = NULL_SPAN
 
-        if self.metrics is not None:
-            self.metrics.gauge(
-                "dist_simulated_seconds",
-                "modeled wall time of the last distributed plan",
-            ).set(simulated)
-        part = plan.partition
         flat = [(r, c) for r in range(part.grid_rows)
                 for c in range(part.grid_cols)]
-        return DistExecutionReport(
-            value=value,
-            simulated_seconds=simulated,
+        report = DistExecutionReport(
+            value=value, simulated_seconds=max(self._clocks),
             estimated_seconds=plan.estimated_seconds,
             comm_seconds=self._comm_seconds,
             comm_bytes_total=self._comm_bytes,
             bytes_by_tier=dict(self._bytes_by_tier),
             bytes_by_link=dict(self._bytes_by_link),
-            n_comm_steps=len(plan.comm_steps),
-            n_devices=part.n_devices,
-            partition=part.name,
-            grid_rows=part.grid_rows,
-            grid_cols=part.grid_cols,
-            n_workers=self.n_workers,
+            n_comm_steps=len(plan.comm_steps), n_devices=part.n_devices,
+            partition=part.name, grid_rows=part.grid_rows,
+            grid_cols=part.grid_cols, n_workers=self.n_workers,
             compute_seconds=tuple(
                 self._device_reports[rc].simulated_seconds for rc in flat),
             device_reports=tuple(self._device_reports[rc] for rc in flat),
-            n_retries=self._n_retries,
-            backoff_seconds=self._backoff,
+            n_retries=self._n_retries, backoff_seconds=self._backoff,
             fault_log=tuple(self._fault_log),
             resumed_from=self._resumed_from)
+        self._obs.record(report, span=root)
+        return report
 
     # ------------------------------------------------------------------
     def _run_comm(self, step_index: int, step) -> None:
@@ -249,13 +229,10 @@ class DistributedExecutor:
         plan = self.plan
         policy = self.recovery
         injector = self.link_faults
-        tracer = self.tracer
-        span = NULL_SPAN
-        if tracer.enabled:
-            span = tracer.span(
-                f"comm.{step.phase}", "comm", parent=self._root_span,
-                step=step_index, src=step.src, dst=step.dst,
-                nbytes=int(step.nbytes))
+        span = self.tracer.span(
+            f"comm.{step.phase}", "comm", parent=self._root_span,
+            step=step_index, src=step.src, dst=step.dst,
+            nbytes=int(step.nbytes))
         with span:
             attempt = 0
             retries = 0
@@ -271,49 +248,27 @@ class DistributedExecutor:
                 except Exception as exc:  # noqa: BLE001 - classified below
                     action = (policy.classify(exc)
                               if policy is not None else None)
-                    if action == RETRY and retries < policy.max_retries:
+                    retry = action == RETRY and retries < policy.max_retries
+                    wait_s = 0.0
+                    if retry:
                         retries += 1
                         wait_s = policy.backoff_seconds(retries)
                         backoff_here += wait_s
-                        event = FaultEvent(
-                            tile_index=step_index, attempt=attempt,
-                            depth=0, kind=FaultKind.TRANSIENT,
-                            action="retried",
-                            detail=f"link retry {retries}/"
-                                   f"{policy.max_retries}",
-                            seconds=wait_s)
-                        self._fault_log.append(event)
-                        span.event(event.action, "fault", event.seconds,
-                                   kind=event.kind.value,
-                                   step=step_index, attempt=attempt,
-                                   detail=event.detail)
-                        if self.telemetry is not None:
-                            self.telemetry.emit(
-                                "fault", trace_id=self._trace_id,
-                                ts_ms=max(self._clocks) * 1e3,
-                                step=step_index, phase=step.phase,
-                                fault_kind=event.kind.value,
-                                action=event.action, attempt=attempt,
-                                sim_seconds=wait_s)
-                        attempt += 1
-                        continue
                     event = FaultEvent(
                         tile_index=step_index, attempt=attempt, depth=0,
-                        kind=FaultKind.TRANSIENT, action="unabsorbed",
-                        detail=str(exc))
+                        kind=FaultKind.TRANSIENT,
+                        action="retried" if retry else "unabsorbed",
+                        detail=(f"link retry {retries}/{policy.max_retries}"
+                                if retry else str(exc)),
+                        seconds=wait_s)
                     self._fault_log.append(event)
-                    if tracer.enabled:
-                        span.event("unabsorbed", "fault",
-                                   kind=event.kind.value, step=step_index,
-                                   detail=str(exc))
-                    if self.telemetry is not None:
-                        self.telemetry.emit(
-                            "fault", trace_id=self._trace_id,
-                            ts_ms=max(self._clocks) * 1e3,
-                            step=step_index, phase=step.phase,
-                            fault_kind=event.kind.value,
-                            action=event.action, attempt=attempt,
-                            sim_seconds=0.0)
+                    self._obs.record(event, site="link", span=span,
+                                     phase=step.phase,
+                                     trace_id=self._trace_id,
+                                     ts_ms=max(self._clocks) * 1e3)
+                    if retry:
+                        attempt += 1
+                        continue
                     raise ExecutionFaultError(
                         f"comm step {step_index} "
                         f"({step.phase} {step.src}->{step.dst}) failed "
@@ -338,18 +293,10 @@ class DistributedExecutor:
             link = (step.src, step.dst)
             self._bytes_by_link[link] = (
                 self._bytes_by_link.get(link, 0) + transfer.nbytes)
-            if tracer.enabled:
-                span.set_sim_seconds(transfer.seconds)
-                span.annotate(tier=transfer.tier, retries=retries,
-                              backoff_seconds=backoff_here)
-            if self.telemetry is not None:
-                self.telemetry.emit(
-                    "transfer", trace_id=self._trace_id, ts_ms=end * 1e3,
-                    step=step_index, phase=step.phase, src=step.src,
-                    dst=step.dst, nbytes=int(transfer.nbytes),
-                    tier=transfer.tier, retries=retries,
-                    backoff_seconds=backoff_here,
-                    sim_seconds=transfer.seconds)
+            self._obs.record(transfer, span=span, step=step_index,
+                             phase=step.phase, retries=retries,
+                             backoff_seconds=backoff_here,
+                             trace_id=self._trace_id, ts_ms=end * 1e3)
 
     # ------------------------------------------------------------------
     def _run_device(self, rc: Tuple[int, int]):
@@ -376,7 +323,6 @@ class DistributedExecutor:
         clocks, spans, and reports never depend on scheduling.
         """
         plan = self.plan
-        tracer = self.tracer
         part = plan.partition
         block: List[Tuple[int, Tuple[int, int]]] = []
         while index < len(self._steps) and self._steps[index][0] == "compute":
@@ -398,16 +344,13 @@ class DistributedExecutor:
             self._partials[rc] = (distances, global_ids)
             self._device_reports[rc] = report
             self._clocks[device] += report.simulated_seconds
-            if tracer.enabled:
-                span = tracer.span(
+            with self.tracer.span(
                     f"device[{r},{c}]", "tile", parent=self._root_span,
                     tile=device, lane=device,
                     rows_a=part.a_panels[r].n_rows,
-                    rows_b=part.b_panels[c].n_rows)
-                with span:
-                    span.set_sim_seconds(report.simulated_seconds)
-                    span.annotate(n_tiles=report.n_tiles,
-                                  k=plan.device_k(c))
+                    rows_b=part.b_panels[c].n_rows) as span:
+                span.set_sim_seconds(report.simulated_seconds)
+                span.annotate(n_tiles=report.n_tiles, k=plan.device_k(c))
             self._done = step_index + 1
         return index
 

@@ -313,6 +313,8 @@ class Telemetry:
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._lock = threading.Lock()
         self._events: List[dict] = []
+        #: stored events per ``(trace_id, kind)``: the default span-id ordinal
+        self._ordinals: Dict[Tuple[str, str], int] = {}
         self._report: Optional[SamplingReport] = None
 
     # -- emission ------------------------------------------------------
@@ -323,18 +325,19 @@ class Telemetry:
 
         ``span_id`` defaults to a hash of (trace, kind, per-trace
         ordinal) — see :func:`derive_span_id` for why tracer span ids
-        are never reused here.
+        are never reused here. The ordinal counts every stored event of
+        that trace and kind, explicit span ids included.
         """
         with self._lock:
+            key = (str(trace_id), str(kind))
+            ordinal = self._ordinals.get(key, 0)
             if span_id is None:
-                ordinal = sum(1 for r in self._events
-                              if r["trace_id"] == trace_id
-                              and r["kind"] == kind)
                 span_id = derive_span_id(trace_id, kind, ordinal)
             record = {"schema": SCHEMA_VERSION, "kind": kind,
                       "trace_id": str(trace_id), "span_id": span_id,
                       "ts_ms": float(ts_ms), "attrs": attrs}
             validate_event(record)
+            self._ordinals[key] = ordinal + 1
             self._events.append(record)
             self._report = None  # new data invalidates cached sampling
             for sink in self.sinks:

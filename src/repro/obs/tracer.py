@@ -10,9 +10,9 @@ Design constraints, in order:
 
 1. **Zero overhead when off.** The default :class:`NullTracer` is a
    singleton whose :meth:`~NullTracer.span` returns one shared no-op
-   handle; instrumented hot loops additionally guard on
-   :attr:`Tracer.enabled` so the disabled path performs no allocation at
-   all (verified by ``tests/obs/test_tracer.py``).
+   handle, so components open their spans unguarded and the disabled
+   path keeps no allocation per tile (verified by
+   ``tests/obs/test_tracer.py``).
 2. **Deterministic trees.** Span parentage follows the per-thread span
    stack (a tile's kernel/expansion spans nest under the tile span on
    whichever worker thread ran it) with an explicit ``parent=`` escape for

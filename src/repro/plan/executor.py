@@ -67,13 +67,8 @@ from repro.gpusim.stats import KernelStats
 from repro.gpusim.tiles import TileAccountant, TileLaunchRecord
 from repro.kernels.host import HostKernel
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import (
-    NULL_SPAN,
-    Tracer,
-    get_default_tracer,
-    pop_metrics,
-    push_metrics,
-)
+from repro.obs.record import observer
+from repro.obs.tracer import NULL_SPAN, Tracer, get_default_tracer
 from repro.plan.consumers import DenseBlockConsumer, TileConsumer
 from repro.plan.pairwise_plan import PairwisePlan
 from repro.plan.tiling import Tile
@@ -148,7 +143,8 @@ class _Rect:
 
 @dataclass
 class _RectResult:
-    """One recovered rect: its distance block plus recovery accounting."""
+    """One recovered rect: its distance block plus recovery accounting
+    (for a planned tile, also the tile and its span)."""
 
     block: np.ndarray
     stats: KernelStats
@@ -159,26 +155,16 @@ class _RectResult:
     backoff_seconds: float = 0.0
     degraded: bool = False
     schedule: Optional[LaunchSchedule] = None
-
-
-@dataclass
-class _TileOutcome:
-    """Internal: one finished tile before consumer delivery."""
-
-    tile: Tile
-    distances: np.ndarray
-    stats: KernelStats
-    seconds: float
-    schedule: Optional[LaunchSchedule] = None
-    events: List[FaultEvent] = field(default_factory=list)
-    n_retries: int = 0
-    n_splits: int = 0
-    backoff_seconds: float = 0.0
-    degraded: bool = False
+    tile: Optional[Tile] = None
+    #: the tile's span (the shared no-op span when untraced)
+    span: object = NULL_SPAN
 
 
 class _TileFailure(Exception):
     """Internal: a tile failed beyond what the recovery policy absorbs."""
+
+    #: the failed tile's span, attached on the way out of the tile scope
+    span = NULL_SPAN
 
     def __init__(self, tile: Tile, cause: Exception,
                  events: List[FaultEvent]):
@@ -242,7 +228,8 @@ class PlanExecutor:
         self.fault_injector = fault_injector
         self.tracer = tracer if tracer is not None else get_default_tracer()
         self.metrics = metrics
-        self._root_span = None
+        self._obs = observer(self.tracer, metrics)
+        self._root_span = NULL_SPAN
         self._lane_base = 0
 
     # ------------------------------------------------------------------
@@ -278,30 +265,9 @@ class PlanExecutor:
         n_splits = 0
         backoff = 0.0
         degraded_tiles: List[int] = []
+        obs = self._obs
 
-        tracer = self.tracer
-        metrics = self.metrics
-        if metrics is not None:
-            m_tiles = metrics.counter(
-                "tiles_executed", "tiles delivered to the consumer")
-            m_retries = metrics.counter(
-                "retries_total", "transient/stuck launch retries")
-            m_splits = metrics.counter(
-                "tile_splits_total", "adaptive OOM tile splits")
-            m_degraded = metrics.counter(
-                "degraded_tiles_total",
-                "tiles that finished on a degraded strategy")
-            m_faults = metrics.counter(
-                "fault_events_total", "recovery actions in the fault log")
-            m_backoff = metrics.counter(
-                "backoff_seconds_total", "simulated retry backoff seconds")
-            m_sim = metrics.histogram(
-                "simulated_ms", "per-tile simulated milliseconds")
-            m_workspace = metrics.gauge(
-                "peak_workspace_bytes",
-                "high watermark of per-tile kernel workspace")
-
-        def deliver(outcome: _TileOutcome) -> None:
+        def deliver(outcome: _RectResult) -> None:
             nonlocal last_schedule, n_retries, n_splits, backoff
             stats.merge(outcome.stats)
             tile_seconds[outcome.tile.index - resume_from] = outcome.seconds
@@ -319,38 +285,21 @@ class PlanExecutor:
             backoff += outcome.backoff_seconds
             if outcome.degraded:
                 degraded_tiles.append(outcome.tile.index)
-            if metrics is not None:
-                m_tiles.inc()
-                m_sim.observe(outcome.seconds * 1e3)
-                m_workspace.set_max(outcome.stats.workspace_bytes)
-                if outcome.n_retries:
-                    m_retries.inc(outcome.n_retries)
-                if outcome.n_splits:
-                    m_splits.inc(outcome.n_splits)
-                if outcome.events:
-                    m_faults.inc(len(outcome.events))
-                if outcome.backoff_seconds:
-                    m_backoff.inc(outcome.backoff_seconds)
-                if outcome.degraded:
-                    m_degraded.inc()
-            consumer.consume(outcome.tile, outcome.distances)
+            obs.record(outcome)
+            consumer.consume(outcome.tile, outcome.block)
             consumer.delivered_watermark = outcome.tile.index + 1
 
-        root = NULL_SPAN
-        if tracer.enabled:
-            root = tracer.span(
-                "plan.execute", "plan",
-                metric=plan.measure.name,
-                engine=getattr(plan.kernel, "name", "custom"),
-                n_tiles=len(tiles), n_workers=self.n_workers,
-                resume_from=resume_from,
-                shape=f"{plan.a.n_rows}x{plan.b.n_rows}x{plan.a.n_cols}")
-        self._root_span = root if tracer.enabled else None
+        root = self.tracer.span(
+            "plan.execute", "plan",
+            metric=plan.measure.name,
+            engine=getattr(plan.kernel, "name", "custom"),
+            n_tiles=len(tiles), n_workers=self.n_workers,
+            resume_from=resume_from,
+            shape=f"{plan.a.n_rows}x{plan.b.n_rows}x{plan.a.n_cols}")
+        self._root_span = root
         self._lane_base = resume_from
-        if metrics is not None:
-            push_metrics(metrics)
         try:
-            with root:
+            with obs, root:
                 try:
                     if self.n_workers == 1 or len(tiles) <= 1:
                         for tile in tiles:
@@ -371,15 +320,11 @@ class PlanExecutor:
                         launch = norms.execute(plan.spec)
                         stats.merge(launch.stats)
                         norms_seconds = launch.seconds
-                    if tracer.enabled:
-                        with tracer.span("norms.compute", "norms") as nspan:
-                            nspan.set_sim_seconds(norms_seconds)
-                            nspan.annotate(
-                                n_norm_kinds=len(plan.measure.norms))
+                    with self.tracer.span("norms.compute", "norms") as nspan:
+                        nspan.set_sim_seconds(norms_seconds)
+                        nspan.annotate(n_norm_kinds=len(plan.measure.norms))
         finally:
-            if metrics is not None:
-                pop_metrics()
-            self._root_span = None
+            self._root_span = NULL_SPAN
 
         # Record the last tile's schedule on the plan's kernel (tile order,
         # whatever order workers finished in), so diagnostics like
@@ -390,28 +335,15 @@ class PlanExecutor:
         serial = norms_seconds + float(sum(tile_seconds))
         makespan = norms_seconds + _round_robin_makespan(tile_seconds,
                                                          self.n_workers)
-        if tracer.enabled:
-            root.set_sim_seconds(makespan)
-        if metrics is not None:
-            metrics.counter("plans_executed",
-                            "completed plan executions").inc()
-            metrics.gauge("plan_simulated_seconds",
-                          "modeled wall time of the last plan").set(makespan)
-            metrics.gauge("peak_resident_bytes",
-                          "high watermark of resident tile memory").set_max(
-                              accountant.peak_resident_bytes)
-        return PlanExecutionReport(value=consumer.result(), stats=stats,
-                                   simulated_seconds=makespan,
-                                   serial_seconds=serial,
-                                   n_tiles=len(tiles),
-                                   n_workers=self.n_workers,
-                                   accountant=accountant,
-                                   n_retries=n_retries,
-                                   n_tile_splits=n_splits,
-                                   degraded_tiles=tuple(degraded_tiles),
-                                   backoff_seconds=backoff,
-                                   fault_log=tuple(fault_log),
-                                   resumed_from=resume_from)
+        report = PlanExecutionReport(
+            value=consumer.result(), stats=stats, simulated_seconds=makespan,
+            serial_seconds=serial, n_tiles=len(tiles),
+            n_workers=self.n_workers, accountant=accountant,
+            n_retries=n_retries, n_tile_splits=n_splits,
+            degraded_tiles=tuple(degraded_tiles), backoff_seconds=backoff,
+            fault_log=tuple(fault_log), resumed_from=resume_from)
+        obs.record(report, span=root)
+        return report
 
     # ------------------------------------------------------------------
     def _execute_threaded(self, tiles: List[Tile], resume_from: int,
@@ -422,7 +354,7 @@ class PlanExecutor:
         propagating (as :class:`_TileFailure`) — pending tiles never keep
         running toward a consumer that will never see them.
         """
-        pending: Dict[int, _TileOutcome] = {}
+        pending: Dict[int, _RectResult] = {}
         next_index = resume_from
         with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
             futures = {pool.submit(self._run_tile, t): t for t in tiles}
@@ -453,16 +385,13 @@ class PlanExecutor:
         """
         consumer.abort(failure.cause)
         tile = failure.tile
-        if self.tracer.enabled and self._root_span is not None:
-            self._root_span.event(
-                "unabsorbed", "fault", tile=tile.index,
-                kind=_fault_kind(failure.cause).value,
-                detail=str(failure.cause))
-        events = [*delivered_events, *failure.events,
-                  FaultEvent(tile_index=tile.index, attempt=-1,
-                             depth=0, kind=_fault_kind(failure.cause),
-                             action="unabsorbed",
-                             detail=str(failure.cause))]
+        unabsorbed = FaultEvent(tile_index=tile.index, attempt=-1, depth=0,
+                                kind=_fault_kind(failure.cause),
+                                action="unabsorbed",
+                                detail=str(failure.cause))
+        self._obs.record(failure, root=self._root_span,
+                         unabsorbed=unabsorbed)
+        events = [*delivered_events, *failure.events, unabsorbed]
         if isinstance(failure.cause, InjectedFault) or failure.events:
             raise ExecutionFaultError(
                 f"tile {tile.index} failed beyond recovery: "
@@ -475,72 +404,30 @@ class PlanExecutor:
         raise failure.cause
 
     # ------------------------------------------------------------------
-    def _run_tile(self, tile: Tile) -> _TileOutcome:
-        rect = _Rect(tile.a0, tile.a1, tile.b0, tile.b1, depth=0)
-        tracer = self.tracer
-        metrics = self.metrics
-        if not tracer.enabled and metrics is None:
-            # Hot path: no span handles, no kwargs dicts, no stack pushes.
-            res = self._run_rect(tile, rect)
-            return _TileOutcome(
-                tile=tile, distances=res.block, stats=res.stats,
-                seconds=res.seconds, schedule=res.schedule,
-                events=res.events, n_retries=res.n_retries,
-                n_splits=res.n_splits,
-                backoff_seconds=res.backoff_seconds, degraded=res.degraded)
-        return self._run_tile_instrumented(tile, rect, tracer, metrics)
+    def _run_tile(self, tile: Tile) -> _RectResult:
+        """Run one planned tile inside its ``tile[i,j]`` span.
 
-    def _run_tile_instrumented(self, tile: Tile, rect: _Rect,
-                               tracer: Tracer,
-                               metrics: Optional[MetricsRegistry],
-                               ) -> _TileOutcome:
-        """Traced/metered tile execution (worker threads included).
-
-        The tile span attaches to the main thread's ``plan.execute`` root
+        The span attaches to the main thread's ``plan.execute`` root
         explicitly (worker threads have no open span of their own) and then
         sits on *this* thread's span stack, so kernel/launch spans opened
-        deeper in the call nest under it. The recovery events the rect
-        gathered become ``fault``-category span events — the same list
-        ``deliver`` folds into :attr:`PlanExecutionReport.fault_log`, so
-        trace and report reconcile exactly.
+        deeper in the call nest under it. The span rides on the outcome (or
+        the failure): the tile's facts are recorded at delivery, in tile
+        order, whatever order the workers finished in.
         """
-        span = NULL_SPAN
-        if tracer.enabled:
-            lane = (tile.index - self._lane_base) % self.n_workers
-            span = tracer.span(
-                f"tile[{tile.band_a},{tile.band_b}]", "tile",
-                parent=self._root_span, tile=tile.index, lane=lane,
-                rows_a=tile.rows_a, rows_b=tile.rows_b)
-        if metrics is not None:
-            push_metrics(metrics)
-        try:
-            with span:
-                try:
-                    res = self._run_rect(tile, rect)
-                except _TileFailure as failure:
-                    for ev in failure.events:
-                        span.event(ev.action, "fault", ev.seconds,
-                                   kind=ev.kind.value, tile=ev.tile_index,
-                                   attempt=ev.attempt, depth=ev.depth,
-                                   detail=ev.detail)
-                    raise
-                span.set_sim_seconds(res.seconds)
-                span.annotate(retries=res.n_retries, splits=res.n_splits,
-                              degraded=res.degraded)
-                for ev in res.events:
-                    span.event(ev.action, "fault", ev.seconds,
-                               kind=ev.kind.value, tile=ev.tile_index,
-                               attempt=ev.attempt, depth=ev.depth,
-                               detail=ev.detail)
-        finally:
-            if metrics is not None:
-                pop_metrics()
-        return _TileOutcome(tile=tile, distances=res.block, stats=res.stats,
-                            seconds=res.seconds, schedule=res.schedule,
-                            events=res.events, n_retries=res.n_retries,
-                            n_splits=res.n_splits,
-                            backoff_seconds=res.backoff_seconds,
-                            degraded=res.degraded)
+        lane = (tile.index - self._lane_base) % self.n_workers
+        span = self.tracer.span(
+            f"tile[{tile.band_a},{tile.band_b}]", "tile",
+            parent=self._root_span, tile=tile.index, lane=lane,
+            rows_a=tile.rows_a, rows_b=tile.rows_b)
+        with self._obs, span:
+            try:
+                res = self._run_rect(
+                    tile, _Rect(tile.a0, tile.a1, tile.b0, tile.b1))
+            except _TileFailure as failure:
+                failure.span = span
+                raise
+        res.tile, res.span = tile, span
+        return res
 
     def _operand_slices(self, tile: Tile, rect: _Rect):
         """CSR slices for a rect; planned tiles reuse the cached bands."""
@@ -634,12 +521,11 @@ class PlanExecutor:
             launch = _epilogue_launch(n_cells).execute(plan.spec)
             stats.merge(launch.stats)
             seconds += launch.seconds
-            if self.tracer.enabled:
-                name = ("expansion.apply" if measure.kind == EXPANDED
-                        else "finalize.apply")
-                with self.tracer.span(name, "epilogue") as espan:
-                    espan.set_sim_seconds(launch.seconds)
-                    espan.annotate(n_cells=n_cells)
+            name = ("expansion.apply" if measure.kind == EXPANDED
+                    else "finalize.apply")
+            with self.tracer.span(name, "epilogue") as espan:
+                espan.set_sim_seconds(launch.seconds)
+                espan.annotate(n_cells=n_cells)
 
         if site is not None and site.slow_seconds > 0.0:
             seconds += site.slow_seconds

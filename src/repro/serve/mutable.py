@@ -68,11 +68,9 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RecoveryPolicy
 from repro.faults.spec import FaultEvent, FaultKind
-from repro.neighbors.topk import SUPPRESSED_ID, TopKAccumulator, suppress_pairs
-from repro.obs.metrics import NULL_METRICS
-from repro.obs.tracer import NULL_SPAN, NULL_TRACER
-from repro.plan.consumers import TopKConsumer
-from repro.plan.executor import PlanExecutionReport, PlanExecutor
+from repro.neighbors.topk import SUPPRESSED_ID, suppress_pairs
+from repro.obs.record import observer
+from repro.obs.tracer import NULL_SPAN
 from repro.plan.pairwise_plan import (
     PairwisePlan,
     PreparedOperand,
@@ -166,7 +164,6 @@ class _PendingCompaction:
     built: List[Shard] = field(default_factory=list)
     simulated_seconds: float = 0.0
     n_retries: int = 0
-    n_resumes: int = 0
     fault_log: List[FaultEvent] = field(default_factory=list)
 
     @property
@@ -226,8 +223,9 @@ class MutableIndex:
         self._delta_device = (base.shards[0].device if delta_device is None
                               else delta_device)
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
-        self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        self._obs = observer(tracer, metrics, telemetry)
+        self.tracer = self._obs.tracer
+        self.metrics = self._obs.metrics
         #: optional :class:`~repro.obs.Telemetry` receiving one
         #: ``"compaction"`` wide event per completed (or no-op) compaction
         self.telemetry = telemetry
@@ -247,7 +245,7 @@ class MutableIndex:
         self._supp_cache: Tuple[int, Optional[np.ndarray]] = (-1, None)
         self._supp_shard_cache: Dict[int, Tuple[int, np.ndarray]] = {}
         self.compaction_reports: List[CompactionReport] = []
-        self._set_gauges()
+        self._touch()
 
     # ------------------------------------------------------------------
     # construction
@@ -394,52 +392,13 @@ class MutableIndex:
         return suppress_pairs(distances, global_ids,
                               self._suppressed_in_shard(shard_id))
 
-    def query_shard(self, shard_id: int, queries: PreparedOperand,
-                    k: int, **executor_kwargs,
-                    ) -> Tuple[np.ndarray, np.ndarray, PlanExecutionReport]:
-        """One shard's (widened, masked) top-k with global ids."""
-        shard = self.shards[shard_id]
-        plan = self.shard_plan(shard_id, queries)
-        consumer = TopKConsumer(self.shard_k(shard_id, k))
-        report = PlanExecutor(plan, **executor_kwargs).execute(consumer)
-        distances, local_idx = report.value
-        distances, global_ids = self.filter_shard_topk(
-            shard_id, distances, shard.global_ids[local_idx])
-        return distances, global_ids, report
-
-    def kneighbors(self, x, n_neighbors: int = 5, *, n_workers: int = 1,
-                   **executor_kwargs) -> Tuple[np.ndarray, np.ndarray]:
-        """Fan-out + cross-generation merge; bit-identical to a fresh
-        :class:`~repro.neighbors.NearestNeighbors` fit of the live corpus
-        for any ``n_workers`` and any compaction state."""
-        if n_neighbors <= 0:
-            raise ValueError(
-                f"n_neighbors must be positive, got {n_neighbors!r}")
-        queries = self.prepare_queries(x)
-        k = min(int(n_neighbors), self.n_rows)
-        live_shards = [i for i in range(self.n_shards)
-                       if self.shards[i].n_rows > 0]
-        if n_workers > 1 and len(live_shards) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                    max_workers=min(n_workers, len(live_shards))) as pool:
-                futures = [pool.submit(self.query_shard, i, queries, k,
-                                       **executor_kwargs)
-                           for i in live_shards]
-                parts = [f.result() for f in futures]
-        else:
-            parts = [self.query_shard(i, queries, k, **executor_kwargs)
-                     for i in live_shards]
-        acc = TopKAccumulator(queries.n_rows, k)
-        for distances, global_ids, _ in parts:
-            acc.update_pairs(distances, global_ids)
-        return acc.finalize()
-
-    #: The distributed fan-out runs through ``query_shard``, so the
-    #: overlay's widened ``shard_k`` and sentinel masking apply unchanged;
-    #: empty generations are skipped the same way ``kneighbors`` skips
-    #: them.
+    #: The fan-out paths are the frozen index's, run through this
+    #: overlay's widened ``shard_k`` and sentinel masking; empty
+    #: generations (a drained delta) are skipped. ``kneighbors`` is
+    #: bit-identical to a fresh :class:`~repro.neighbors.NearestNeighbors`
+    #: fit of the live corpus for any ``n_workers`` and compaction state.
+    query_shard = ShardedIndex.query_shard
+    kneighbors = ShardedIndex.kneighbors
     kneighbors_distributed = ShardedIndex.kneighbors_distributed
 
     # ------------------------------------------------------------------
@@ -466,11 +425,7 @@ class MutableIndex:
                 indices, values = csr.row(j)
                 self._mem_latest[gid] = self._mem.append(indices, values)
                 self._mem_tombstones.discard(gid)
-            self._touch()
-            self.metrics.counter(
-                "mutable_upserts_total",
-                "rows upserted into the memtable").inc(ids.size)
-            self._set_gauges()
+            self._touch(upserted=ids.size)
 
     def delete(self, ids) -> None:
         """Tombstone rows by global id (idempotent; unknown ids are
@@ -484,11 +439,7 @@ class MutableIndex:
                 gid = int(gid)
                 self._mem_latest.pop(gid, None)
                 self._mem_tombstones.add(gid)
-            self._touch()
-            self.metrics.counter(
-                "mutable_deletes_total",
-                "rows tombstoned in the memtable").inc(ids.size)
-            self._set_gauges()
+            self._touch(deleted=ids.size)
 
     # ------------------------------------------------------------------
     # visibility
@@ -544,10 +495,10 @@ class MutableIndex:
             if now_ms is not None:
                 self._now_ms = max(self._now_ms, float(now_ms))
             if self._pending is None:
-                report = self._start_compaction(placement, n_shards,
-                                                devices, reason)
-                if report is not None:       # nothing to do
-                    return report
+                noop = self._start_compaction(placement, n_shards,
+                                              devices, reason)
+                if noop is not None:       # nothing to do
+                    return self._completed(noop)
                 resumed = False
             else:
                 if (placement is not None or n_shards is not None
@@ -556,10 +507,7 @@ class MutableIndex:
                         "cannot re-target a pending compaction; resume it "
                         "(compact() with no layout arguments) first")
                 resumed = True
-                self._pending.n_resumes += 1
-                self.metrics.counter(
-                    "compaction_resumes_total",
-                    "compactions resumed from a fault watermark").inc()
+                self._obs.record(self._pending)
             return self._run_compaction(resumed, fault_injector, recovery)
 
     def maybe_compact(self, now_ms: float, **kwargs,
@@ -659,9 +607,7 @@ class MutableIndex:
             path = directory / f"mutable-{version:06d}.npz"
             with open(path, "wb") as fh:
                 np.savez(fh, **arrays)
-            self.metrics.counter(
-                "mutable_snapshots_total",
-                "rolling snapshots written").inc()
+            self._obs.record(self, snapshot=path)
             for old in self.list_snapshots(directory)[
                     :-self.snapshot_retention]:
                 (directory / f"mutable-{old:06d}.npz").unlink()
@@ -764,20 +710,10 @@ class MutableIndex:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _touch(self) -> None:
+    def _touch(self, **change) -> None:
+        """A visible mutation: bump the cache epoch, record the new state."""
         self._epoch += 1
-
-    def _set_gauges(self) -> None:
-        m = self.metrics
-        m.gauge("index_generation",
-                "completed compactions of the mutable index").set(
-                    self._generation)
-        m.gauge("mutable_delta_rows",
-                "rows served from the delta levels").set(self.delta_rows)
-        m.gauge("mutable_tombstones",
-                "tombstones awaiting compaction").set(self.tombstone_count)
-        m.gauge("mutable_live_rows",
-                "rows visible to queries").set(self.n_rows)
+        self._obs.record(self, **change)
 
     def _suppressed_for_base(self) -> np.ndarray:
         """Sorted ids whose base-generation rows must not be served."""
@@ -898,8 +834,6 @@ class MutableIndex:
                 absorbed_rows=0, absorbed_tombstones=0,
                 simulated_seconds=0.0, started_ms=self._now_ms,
                 completed_ms=self._now_ms, noop=True)
-            self.compaction_reports.append(report)
-            self._emit_compaction_event(report)
             return report
         absorbed_tombstones = len(self._mem_tombstones)
         self._seal_memtable()
@@ -928,44 +862,23 @@ class MutableIndex:
             absorbed_tombstones=absorbed_tombstones)
         return None
 
-    def _emit_compaction_event(self, report: "CompactionReport") -> None:
-        """One wide event per completed (or no-op) compaction.
-
-        The trace id is the ambient trace context when one is set (a
-        compaction triggered inside a traced request), else minted
-        deterministically from the compaction ordinal + generation.
-        """
-        if self.telemetry is None:
-            return
-        from repro.obs.telemetry import deterministic_trace_id
-        from repro.obs.tracer import current_trace_context
-
-        trace_id = (current_trace_context()
-                    or deterministic_trace_id(
-                        "mutable.compact", len(self.compaction_reports),
-                        report.generation))
-        self.telemetry.emit(
-            "compaction", trace_id=trace_id, ts_ms=report.completed_ms,
-            generation=report.generation, reason=report.reason,
-            n_shards=report.n_shards, placement=report.placement,
-            live_rows=report.live_rows,
-            absorbed_rows=report.absorbed_rows,
-            absorbed_tombstones=report.absorbed_tombstones,
-            sim_seconds=report.simulated_seconds,
-            n_retries=report.n_retries, resumed=report.resumed,
-            noop=report.noop)
+    def _completed(self, report: CompactionReport, span=NULL_SPAN,
+                   sim_seconds: float = 0.0) -> CompactionReport:
+        """Ledger and record one completed (or no-op) compaction."""
+        self.compaction_reports.append(report)
+        self._obs.record(report, span=span, sim_seconds=sim_seconds,
+                         ordinal=len(self.compaction_reports))
+        return report
 
     def _run_compaction(self, resumed: bool,
                         fault_injector: Optional[FaultInjector],
                         recovery: RecoveryPolicy) -> CompactionReport:
         pending = self._pending
         resumed_from = pending.watermark
-        span = (self.tracer.span(
-                    "mutable.compact", "compact",
-                    generation=self._generation + 1, reason=pending.reason,
-                    n_shards=pending.n_shards, resumed=resumed,
-                    watermark=resumed_from)
-                if self.tracer.enabled else NULL_SPAN)
+        span = self.tracer.span(
+            "mutable.compact", "compact", generation=self._generation + 1,
+            reason=pending.reason, n_shards=pending.n_shards,
+            resumed=resumed, watermark=resumed_from)
         seconds_this_call = 0.0
         with span:
             while pending.watermark < pending.n_shards:
@@ -977,33 +890,17 @@ class MutableIndex:
                 pending.simulated_seconds += seconds
                 seconds_this_call += seconds
             self._swap_generation(pending)
-            span.set_sim_seconds(seconds_this_call)
-            span.annotate(live_rows=int(pending.ids.size),
-                          absorbed_rows=pending.absorbed_rows,
-                          absorbed_tombstones=pending.absorbed_tombstones)
-        completed_ms = self._now_ms
-        report = CompactionReport(
+        return self._completed(CompactionReport(
             generation=self._generation, reason=pending.reason,
             n_shards=pending.n_shards, placement=pending.placement,
             live_rows=int(pending.ids.size),
             absorbed_rows=pending.absorbed_rows,
             absorbed_tombstones=pending.absorbed_tombstones,
             simulated_seconds=pending.simulated_seconds,
-            started_ms=pending.started_ms, completed_ms=completed_ms,
+            started_ms=pending.started_ms, completed_ms=self._now_ms,
             n_retries=pending.n_retries, resumed=resumed,
             resumed_from_watermark=resumed_from,
-            fault_log=tuple(pending.fault_log))
-        self.compaction_reports.append(report)
-        self._emit_compaction_event(report)
-        self.metrics.counter(
-            "compaction_total",
-            "completed compactions").inc(reason=pending.reason)
-        self.metrics.histogram(
-            "compaction_seconds",
-            "simulated seconds per completed compaction").observe(
-                pending.simulated_seconds)
-        self._set_gauges()
-        return report
+            fault_log=tuple(pending.fault_log)), span, seconds_this_call)
 
     def _build_one_shard(self, pending: _PendingCompaction,
                          shard_index: int,
@@ -1013,59 +910,50 @@ class MutableIndex:
         """Build one new-generation shard under the retry ladder."""
         seconds = 0.0
         attempt = 0
+
+        def log(kind: FaultKind, action: str, wait: float = 0.0):
+            event = FaultEvent(tile_index=shard_index, attempt=attempt,
+                               depth=0, kind=kind, action=action,
+                               detail="compaction.build_shard", seconds=wait)
+            pending.fault_log.append(event)
+            return event
+
         while True:
             fault = None
             if fault_injector is not None:
                 site = fault_injector.site_faults(shard_index, attempt, 0)
                 if site.slow_seconds:
                     seconds += site.slow_seconds
-                    pending.fault_log.append(FaultEvent(
-                        tile_index=shard_index, attempt=attempt, depth=0,
-                        kind=FaultKind.SLOW, action="slowed",
-                        detail="compaction.build_shard",
-                        seconds=site.slow_seconds))
+                    log(FaultKind.SLOW, "slowed", site.slow_seconds)
                 fault = site.launch_fault or site.kernel_fault
             if fault is None:
                 break
             exc = _FAULT_EXCEPTIONS[fault.kind](
                 f"injected {fault.kind.value} fault building shard "
                 f"{shard_index} (attempt {attempt})")
-            pending.fault_log.append(FaultEvent(
-                tile_index=shard_index, attempt=attempt, depth=0,
-                kind=fault.kind, action="injected",
-                detail="compaction.build_shard"))
+            log(fault.kind, "injected")
             # Compaction has a single recovery rung — retry with backoff —
             # so every *classifiable* fault retries and only an exhausted
             # budget (or an unclassifiable error) aborts resumably.
             if (recovery.classify(exc) is None
                     or attempt >= recovery.max_retries):
-                pending.fault_log.append(FaultEvent(
-                    tile_index=shard_index, attempt=attempt, depth=0,
-                    kind=fault.kind, action="unabsorbed",
-                    detail="compaction.build_shard"))
+                log(fault.kind, "unabsorbed")
                 pending.simulated_seconds += seconds
-                self.metrics.counter(
-                    "compaction_faults_total",
-                    "compactions aborted on an unabsorbed fault").inc()
-                span.annotate(failed=True, watermark=pending.watermark)
-                span.set_sim_seconds(seconds_before + seconds)
-                raise CompactionFaultError(
+                err = CompactionFaultError(
                     f"compaction toward generation {self._generation + 1} "
                     f"aborted building shard {shard_index} "
                     f"(watermark {pending.watermark}/{pending.n_shards}): "
                     f"{exc}",
                     watermark=pending.watermark,
                     fault_log=tuple(pending.fault_log), cause=exc)
+                self._obs.record(err, span=span,
+                                 sim_seconds=seconds_before + seconds)
+                raise err
             backoff = recovery.backoff_seconds(attempt + 1)
             seconds += backoff
             pending.n_retries += 1
-            pending.fault_log.append(FaultEvent(
-                tile_index=shard_index, attempt=attempt, depth=0,
-                kind=fault.kind, action="retried",
-                detail="compaction.build_shard", seconds=backoff))
-            self.metrics.counter(
-                "compaction_retries_total",
-                "shard-build retries absorbed during compaction").inc()
+            self._obs.record(log(fault.kind, "retried", backoff),
+                             site="compaction")
             attempt += 1
         positions = pending.assignment[shard_index]
         shard = Shard(shard_id=shard_index,

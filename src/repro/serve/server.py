@@ -49,7 +49,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -62,13 +62,13 @@ from repro.errors import (
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RecoveryPolicy
 from repro.obs import resolve_trace, write_chrome_trace
-from repro.obs.metrics import NULL_METRICS
+from repro.obs.record import LATENCY_BUCKETS_MS, observer
 from repro.obs.telemetry import (
     Telemetry,
     deterministic_trace_id,
     trace_id_for_request,
 )
-from repro.obs.tracer import NULL_SPAN, NULL_TRACER, trace_context
+from repro.obs.tracer import trace_context
 from repro.plan.consumers import TopKConsumer
 from repro.plan.executor import PlanExecutor
 from repro.plan.pairwise_plan import PreparedOperand
@@ -89,15 +89,6 @@ from repro.serve.sharding import ShardedIndex
 from repro.sparse.ops import vstack
 
 __all__ = ["Server", "LATENCY_BUCKETS_MS"]
-
-#: Bucket bounds for the ``serve_latency_ms`` / ``serve_queue_wait_ms``
-#: histograms: a power-of-two ladder from sub-ms to multi-second, much
-#: finer than :data:`~repro.obs.metrics.DEFAULT_BUCKETS` in the ms range
-#: so interpolated quantiles (``Histogram.quantile``) stay within one
-#: narrow bucket of the exact sample percentiles.
-LATENCY_BUCKETS_MS: Tuple[float, ...] = (
-    0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0,
-    512.0, 1024.0, 2048.0, 4096.0, 8192.0)
 
 
 class Server:
@@ -189,10 +180,10 @@ class Server:
             n_shards=index.n_shards, n_replicas=index.n_replicas,
             probe_backoff_ms=probe_backoff_ms,
             probe_success_rate=probe_success_rate, probe_seed=probe_seed)
-        self.tracer, self._trace_path = resolve_trace(trace)
-        if self.tracer is None:
-            self.tracer = NULL_TRACER
-        self.metrics = metrics if metrics is not None else NULL_METRICS
+        tracer, self._trace_path = resolve_trace(trace)
+        self._obs = observer(tracer, metrics, telemetry)
+        self.tracer = self._obs.tracer
+        self.metrics = self._obs.metrics
         self.telemetry = telemetry
         #: every executed batch / resolved request, in execution order
         self.batch_reports: List[BatchReport] = []
@@ -256,13 +247,7 @@ class Server:
                 arrival_ms=arrival_ms, deadline_ms=deadline_ms,
                 priority=int(priority), requested_k=int(n_neighbors),
                 trace_id=trace_id_for_request(self._next_request_id))
-            self.metrics.counter(
-                "serve_requests_total",
-                "query blocks submitted to the server").inc()
-            self.metrics.counter(
-                "serve_priority_requests_total",
-                "submissions by priority class").inc(
-                    priority=str(request.priority))
+            self._obs.record(request)
 
             if self.backpressure is not None:
                 self.backpressure.tick(arrival_ms)
@@ -280,55 +265,22 @@ class Server:
                 if clamped_k is not None:
                     request = replace(request, n_neighbors=clamped_k,
                                       degraded=True)
-                    self.metrics.counter(
-                        "serve_degraded_total",
-                        "admitted requests degraded to a smaller k").inc(
-                            priority=str(request.priority))
 
             future = ServeFuture(request)
             self._pending[request.request_id] = future
-            for batch in self.scheduler.offer(request):
-                self._execute_batch(batch)
-            self.metrics.gauge(
-                "serve_queue_depth",
-                "requests waiting in the forming batch").set(
-                    self.scheduler.queue_depth)
+            self._run_batches(self.scheduler.offer(request))
         return future
 
     def _refuse(self, request: ServeRequest, *, kind: str, reason: str,
                 shed_level: int = 0) -> None:
-        """Record one refusal (ledger + counters + span) and raise."""
-        self.shed_reports.append(ShedReport(
+        """Record one refusal (ledger entry, then the fact) and raise."""
+        report = ShedReport(
             submission_id=request.request_id,
             arrival_ms=request.arrival_ms, priority=request.priority,
             n_rows=request.n_rows, kind=kind, reason=reason,
-            shed_level=shed_level))
-        if kind == "shed":
-            self.metrics.counter(
-                "serve_shed_total",
-                "submissions refused by the backpressure shed ladder").inc(
-                    priority=str(request.priority), reason=reason)
-        else:
-            self.metrics.counter(
-                "serve_rejected_total",
-                "submissions refused by the admission gate").inc(
-                    priority=str(request.priority), reason=reason)
-        if self.tracer.enabled:
-            with self.tracer.span(f"serve.{kind}", "serve",
-                                  trace_id=request.trace_id,
-                                  submission_id=request.request_id,
-                                  priority=request.priority,
-                                  n_rows=request.n_rows,
-                                  reason=reason) as span:
-                if shed_level:
-                    span.annotate(shed_level=shed_level)
-        if self.telemetry is not None:
-            self.telemetry.emit(
-                "shed", trace_id=request.trace_id,
-                ts_ms=request.arrival_ms,
-                request_id=request.request_id, refusal=kind,
-                reason=reason, priority=request.priority,
-                n_rows=request.n_rows, shed_level=shed_level)
+            shed_level=shed_level)
+        self.shed_reports.append(report)
+        self._obs.record(report)
         raise AdmissionRejected(
             f"submission {request.request_id} (priority "
             f"{request.priority}, {request.n_rows} rows) refused at "
@@ -352,12 +304,7 @@ class Server:
         (re)written here.
         """
         with self._lock:
-            for batch in self.scheduler.flush(now_ms):
-                self._execute_batch(batch)
-            self.metrics.gauge(
-                "serve_queue_depth",
-                "requests waiting in the forming batch").set(
-                    self.scheduler.queue_depth)
+            self._run_batches(self.scheduler.flush(now_ms))
             if self._trace_path is not None:
                 write_chrome_trace(self.tracer, self._trace_path)
             return [f._result for f in self._resolved
@@ -384,6 +331,13 @@ class Server:
     # ------------------------------------------------------------------
     # batch execution
     # ------------------------------------------------------------------
+    def _run_batches(self, batches: List[MicroBatch]) -> None:
+        """Execute the batches a submission or drain closed, then record
+        the forming batch left behind."""
+        for batch in batches:
+            self._execute_batch(batch)
+        self._obs.record(self.scheduler)
+
     def _execute_batch(self, batch: MicroBatch) -> None:
         """Fan a closed micro-batch across the shards and resolve futures."""
         queries = _stack_queries([r.queries for r in batch.requests])
@@ -393,20 +347,15 @@ class Server:
         # (coalesced requests share one execution) plus the member
         # request trace ids, so any member's chain stays walkable.
         batch_trace = deterministic_trace_id("serve.batch", batch.batch_id)
-        members = tuple(r.trace_id for r in batch.requests)
-        span = (self.tracer.span("serve.batch", "serve",
-                                 trace_id=batch_trace,
-                                 member_trace_ids=",".join(members),
-                                 batch_id=batch.batch_id,
-                                 n_requests=len(batch.requests),
-                                 n_rows=batch.n_rows,
-                                 close_reason=batch.close_reason)
-                if self.tracer.enabled else NULL_SPAN)
+        span = self.tracer.span(
+            "serve.batch", "serve", trace_id=batch_trace,
+            member_trace_ids=",".join(r.trace_id for r in batch.requests),
+            batch_id=batch.batch_id, n_requests=len(batch.requests),
+            n_rows=batch.n_rows, close_reason=batch.close_reason)
         with span, trace_context(batch_trace):
             shard_reports, parts, replicas = self._fan_out(
                 queries, k, batch.dispatch_ms, span)
 
-            failed = tuple(r.shard_id for r in shard_reports if r.failed)
             start_ms = max([batch.dispatch_ms]
                            + [r.free_ms for r in replicas])
             service_s = max(
@@ -415,11 +364,6 @@ class Server:
             completion_ms = start_ms + service_s * 1e3
             for state in replicas:
                 self.router.occupy(state, completion_ms)
-            span.set_sim_seconds(service_s)
-            span.annotate(failed_shards=list(failed))
-            if any(r.n_failovers for r in shard_reports):
-                span.annotate(n_failovers=sum(r.n_failovers
-                                              for r in shard_reports))
 
             report = BatchReport(
                 batch_id=batch.batch_id,
@@ -429,15 +373,13 @@ class Server:
                 completion_ms=completion_ms,
                 shard_reports=tuple(shard_reports))
             self.batch_reports.append(report)
-            self._record_batch_metrics(batch, report)
-            if self.telemetry is not None:
-                self._emit_batch_events(report, batch_trace, members)
+            self._obs.record(report, span=span)
 
-            if len(failed) == self.index.n_shards:
+            if len(report.failed_shards) == self.index.n_shards:
                 error = ShardFailedError(
                     f"all {self.index.n_shards} shards failed serving "
                     f"batch {batch.batch_id}",
-                    failed_shards=failed,
+                    failed_shards=report.failed_shards,
                     fault_log=tuple(e for r in shard_reports
                                     for e in r.fault_log))
                 self._resolve_requests(batch, report, span,
@@ -501,10 +443,9 @@ class Server:
                      np.zeros((queries.n_rows, 0), dtype=np.int64))
             return ShardReport(shard_id=shard_id, simulated_seconds=0.0,
                                n_tiles=0, replica_id=-1), empty, None
-        span = (self.tracer.span(f"shard[{shard_id}]", "serve",
-                                 parent=batch_span, shard_id=shard_id,
-                                 device=shard.device.name)
-                if self.tracer.enabled else NULL_SPAN)
+        span = self.tracer.span(f"shard[{shard_id}]", "serve",
+                                parent=batch_span, shard_id=shard_id,
+                                device=shard.device.name)
         with span:
             plan = self.index.shard_plan(shard_id, queries)
             consumer = TopKConsumer(self.index.shard_k(shard_id, k))
@@ -516,64 +457,48 @@ class Server:
                 self.router.run_probes(shard_id, dispatch_ms)
                 state = self.router.pick(shard_id, dispatch_ms)
                 if state is None:
-                    self.metrics.counter(
-                        "serve_shard_failures_total",
-                        "shards dropped with every replica dead").inc()
-                    span.annotate(failed=True, n_resumes=total_resumes,
-                                  failed_replicas=list(failed_replicas))
-                    return ShardReport(
-                        shard_id=shard_id, simulated_seconds=0.0,
-                        n_tiles=plan.n_tiles, n_resumes=total_resumes,
-                        failed=True, fault_log=tuple(fault_log),
-                        replica_id=-1,
-                        failed_replicas=tuple(failed_replicas)), None, None
+                    break
                 injector = self.fault_injectors.get(
                     (shard_id, state.replica_id))
                 outcome = self._run_replica(
                     plan, consumer, injector, resume_from, span)
-                if isinstance(outcome, _ReplicaFailure):
-                    fault_log.extend(outcome.fault_log)
-                    total_resumes += outcome.n_resumes
-                    resume_from = outcome.watermark
-                    self.router.mark_unhealthy(state, dispatch_ms)
-                    failed_replicas.append(state.replica_id)
-                    self.metrics.counter(
-                        "serve_replica_failures_total",
-                        "replicas marked unhealthy after exhausting "
-                        "their resume ladder").inc()
-                    span.event("shard.failover", "fault",
-                               replica_id=state.replica_id,
-                               watermark=resume_from)
-                    continue
+                if not isinstance(outcome, _ReplicaFailure):
+                    break
+                fault_log.extend(outcome.fault_log)
+                total_resumes += outcome.n_resumes
+                resume_from = outcome.watermark
+                self.router.mark_unhealthy(state, dispatch_ms)
+                failed_replicas.append(state.replica_id)
+                self._obs.record(outcome, span=span,
+                                 replica_id=state.replica_id)
+            if state is None:
+                part = None
+                shard_report = ShardReport(
+                    shard_id=shard_id, simulated_seconds=0.0,
+                    n_tiles=plan.n_tiles, n_resumes=total_resumes,
+                    failed=True, fault_log=tuple(fault_log), replica_id=-1,
+                    failed_replicas=tuple(failed_replicas))
+            else:
                 report, n_resumes = outcome
                 fault_log.extend(report.fault_log)
                 total_resumes += n_resumes
-                span.set_sim_seconds(report.simulated_seconds)
-                span.annotate(n_tiles=report.n_tiles,
-                              n_resumes=total_resumes,
-                              replica_id=state.replica_id)
-                if failed_replicas:
-                    self.metrics.counter(
-                        "serve_failovers_total",
-                        "shards completed on a sibling after replica "
-                        "failure").inc()
                 distances, local_idx = report.value
-                distances, global_ids = self.index.filter_shard_topk(
+                part = self.index.filter_shard_topk(
                     shard_id, distances, shard.global_ids[local_idx])
                 shard_report = ShardReport(
                     shard_id=shard_id,
                     simulated_seconds=report.simulated_seconds,
                     n_tiles=report.n_tiles, n_retries=report.n_retries,
                     n_tile_splits=report.n_tile_splits,
-                    n_resumes=total_resumes, failed=False,
-                    fault_log=tuple(fault_log),
+                    n_resumes=total_resumes, fault_log=tuple(fault_log),
                     replica_id=state.replica_id,
                     failed_replicas=tuple(failed_replicas),
                     tile_seconds=tuple(
                         (r.tile_index, r.seconds) for r in sorted(
                             report.accountant.records,
                             key=lambda r: r.tile_index)))
-                return (shard_report, (distances, global_ids), state)
+            self._obs.record(shard_report, span=span)
+        return shard_report, part, state
 
     def _run_replica(self, plan, consumer, injector, resume_from: int,
                      span):
@@ -602,18 +527,12 @@ class Server:
             except ExecutionFaultError as err:
                 fault_log.extend(err.fault_log)
                 resume_from = max(resume_from, err.watermark)
-                span.event("shard.fault", "fault",
-                           watermark=err.watermark,
-                           error=type(err.cause).__name__
-                           if err.cause else "ExecutionFaultError")
+                self._obs.record(err, span=span)
                 if resumes >= self.max_shard_resumes:
                     return _ReplicaFailure(
                         watermark=resume_from, n_resumes=resumes,
                         fault_log=tuple(fault_log))
                 resumes += 1
-                self.metrics.counter(
-                    "serve_shard_resumes_total",
-                    "watermark resumes after unabsorbed faults").inc()
                 continue
             if fault_log:
                 report = replace(
@@ -623,45 +542,9 @@ class Server:
     # ------------------------------------------------------------------
     # resolution + accounting
     # ------------------------------------------------------------------
-    def _emit_batch_events(self, report: BatchReport, batch_trace: str,
-                           members: Tuple[str, ...]) -> None:
-        """One wide event per tile, fault, and failover of a batch.
-
-        Runs under the server lock after fan-out has joined, walking the
-        shard reports in shard order — never worker completion order —
-        so the stream is identical for any ``n_workers``. Batch-scoped
-        events carry every member request's trace id.
-        """
-        emit = self.telemetry.emit
-        for shard in report.shard_reports:
-            for tile_index, seconds in shard.tile_seconds:
-                emit("tile", trace_id=batch_trace,
-                     ts_ms=report.start_ms, batch_id=report.batch_id,
-                     shard_id=shard.shard_id, tile=tile_index,
-                     sim_seconds=seconds,
-                     member_trace_ids=list(members))
-            for ev in shard.fault_log:
-                emit("fault", trace_id=batch_trace,
-                     ts_ms=report.start_ms, batch_id=report.batch_id,
-                     shard_id=shard.shard_id, tile=ev.tile_index,
-                     fault_kind=ev.kind.value, action=ev.action,
-                     attempt=ev.attempt,
-                     member_trace_ids=list(members))
-            for replica_id in shard.failed_replicas:
-                emit("failover", trace_id=batch_trace,
-                     ts_ms=report.start_ms, batch_id=report.batch_id,
-                     shard_id=shard.shard_id, replica_id=replica_id,
-                     member_trace_ids=list(members))
-
     def _resolve_requests(self, batch: MicroBatch, report: BatchReport,
                           batch_span, *, distances=None, indices=None,
                           error=None) -> None:
-        batch_trace = deterministic_trace_id("serve.batch", batch.batch_id)
-        # The shard whose modeled seconds set the batch's service time
-        # (shard order breaks ties, deterministically).
-        slowest = max(
-            (r for r in report.shard_reports if not r.failed),
-            key=lambda r: r.simulated_seconds, default=None)
         row = 0
         for request in batch.requests:
             req_report = RequestReport(
@@ -673,45 +556,8 @@ class Server:
                 requested_k=request.requested_k,
                 trace_id=request.trace_id)
             self.request_reports.append(req_report)
-            self._record_request_metrics(req_report)
-            if self.telemetry is not None:
-                self.telemetry.emit(
-                    "request", trace_id=request.trace_id,
-                    ts_ms=report.completion_ms,
-                    request_id=request.request_id,
-                    batch_id=report.batch_id,
-                    batch_trace_id=batch_trace,
-                    priority=request.priority, n_rows=request.n_rows,
-                    k=request.n_neighbors,
-                    requested_k=request.requested_k,
-                    arrival_ms=float(request.arrival_ms),
-                    start_ms=float(report.start_ms),
-                    completion_ms=float(report.completion_ms),
-                    latency_ms=float(req_report.latency_ms),
-                    queue_wait_ms=float(req_report.queue_wait_ms),
-                    deadline_missed=bool(req_report.deadline_missed),
-                    degraded=bool(request.degraded),
-                    partial=bool(req_report.partial),
-                    failed=error is not None,
-                    n_faults=report.n_fault_events,
-                    slowest_shard=(slowest.shard_id
-                                   if slowest is not None else -1))
-            if self.tracer.enabled:
-                with self.tracer.span(
-                        "serve.request", "serve", parent=batch_span,
-                        trace_id=request.trace_id,
-                        request_id=request.request_id,
-                        n_rows=request.n_rows,
-                        k=request.n_neighbors,
-                        priority=request.priority) as req_span:
-                    req_span.set_sim_seconds(req_report.latency_ms / 1e3)
-                    if req_report.deadline_missed:
-                        req_span.annotate(deadline_missed=True)
-                    if req_report.partial:
-                        req_span.annotate(partial=True)
-                    if request.degraded:
-                        req_span.annotate(degraded=True,
-                                          requested_k=request.requested_k)
+            self._obs.record(req_report, request=request,
+                             failed=error is not None, span=batch_span)
 
             future = self._pending.pop(request.request_id)
             if error is not None:
@@ -726,66 +572,14 @@ class Server:
             self._resolved.append(future)
             row += request.n_rows
 
-    def _record_batch_metrics(self, batch: MicroBatch,
-                              report: BatchReport) -> None:
-        m = self.metrics
-        m.counter("serve_batches_total",
-                  "micro-batches executed").inc(reason=batch.close_reason)
-        m.histogram("serve_batch_rows",
-                    "query rows per executed micro-batch",
-                    ).observe(report.n_rows)
-        m.histogram("serve_batch_requests",
-                    "coalesced requests per micro-batch",
-                    ).observe(len(batch.requests))
-        m.histogram("serve_service_ms",
-                    "simulated batch service time").observe(
-                        report.service_ms)
-        if report.n_fault_events:
-            m.counter("serve_fault_events_total",
-                      "fault events observed across shard executions",
-                      ).inc(report.n_fault_events)
-        if report.partial:
-            m.counter("serve_partial_batches_total",
-                      "batches that lost at least one shard").inc()
 
-    def _record_request_metrics(self, report: RequestReport) -> None:
-        m = self.metrics
-        exemplar = report.trace_id or None
-        m.histogram("serve_latency_ms",
-                    "simulated request latency (arrival to completion)",
-                    buckets=LATENCY_BUCKETS_MS).observe(
-                        report.latency_ms, exemplar=exemplar)
-        m.histogram("serve_priority_latency_ms",
-                    "simulated request latency by priority class",
-                    buckets=LATENCY_BUCKETS_MS).observe(
-                        report.latency_ms, exemplar=exemplar,
-                        priority=str(report.priority))
-        m.histogram("serve_queue_wait_ms",
-                    "simulated wait before the batch started",
-                    buckets=LATENCY_BUCKETS_MS).observe(
-                        report.queue_wait_ms, exemplar=exemplar)
-        if report.partial:
-            m.counter("serve_partial_results_total",
-                      "requests answered from a degraded shard set").inc()
-        if report.deadline_missed:
-            m.counter("serve_deadline_missed_total",
-                      "requests completed after their deadline").inc()
-            m.counter("serve_priority_deadline_missed_total",
-                      "deadline misses by priority class").inc(
-                          priority=str(report.priority))
-
-
-class _ReplicaFailure:
+class _ReplicaFailure(NamedTuple):
     """A replica exhausted its resume ladder; carries the watermark the
     sibling should resume from and the fault log accrued so far."""
 
-    __slots__ = ("watermark", "n_resumes", "fault_log")
-
-    def __init__(self, *, watermark: int, n_resumes: int,
-                 fault_log: tuple):
-        self.watermark = watermark
-        self.n_resumes = n_resumes
-        self.fault_log = fault_log
+    watermark: int
+    n_resumes: int
+    fault_log: tuple
 
 
 def _stack_queries(blocks: List[PreparedOperand]) -> PreparedOperand:

@@ -347,26 +347,28 @@ class ShardedIndex:
         This is the one-shot path (tests, batch jobs); online traffic goes
         through :class:`~repro.serve.Server`, which adds micro-batching,
         deadlines, and fault handling on top of the same plan machinery.
+        Empty shards (a mutable index's drained delta) are skipped.
         """
         if n_neighbors <= 0:
             raise ValueError(
                 f"n_neighbors must be positive, got {n_neighbors!r}")
         queries = self.prepare_queries(x)
         k = min(int(n_neighbors), self.n_rows)
-        if n_workers > 1 and self.n_shards > 1:
+        live = [i for i, shard in enumerate(self.shards) if shard.n_rows]
+        if n_workers > 1 and len(live) > 1:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(
-                    max_workers=min(n_workers, self.n_shards)) as pool:
+                    max_workers=min(n_workers, len(live))) as pool:
                 futures = [pool.submit(self.query_shard, i, queries, k,
                                        **executor_kwargs)
-                           for i in range(self.n_shards)]
+                           for i in live]
                 parts = [f.result() for f in futures]
         else:
             parts = [self.query_shard(i, queries, k, **executor_kwargs)
-                     for i in range(self.n_shards)]
-        return self.merge_shard_topk([(d, g) for d, g, _ in parts],
-                                     queries.n_rows, k)
+                     for i in live]
+        return ShardedIndex.merge_shard_topk(
+            [(d, g) for d, g, _ in parts], queries.n_rows, k)
 
     def kneighbors_distributed(
         self, x, n_neighbors: int = 5, *, interconnect="nvlink",

@@ -133,6 +133,14 @@ class TestTelemetry:
         assert first["span_id"] == derive_span_id(trace, "tile", 0)
         assert second["span_id"] == derive_span_id(trace, "tile", 1)
         assert other["span_id"] == derive_span_id(trace, "request", 0)
+        # an explicit span id is stored, so it still takes an ordinal ...
+        explicit = telemetry.emit("tile", trace_id=trace, span_id="0badcafe")
+        assert explicit["span_id"] == "0badcafe"
+        # ... while an event that fails validation is not stored and does not
+        with pytest.raises(ValueError):
+            telemetry.emit("tile", trace_id=trace, span_id="not-hex!")
+        fourth = telemetry.emit("tile", trace_id=trace)
+        assert fourth["span_id"] == derive_span_id(trace, "tile", 3)
 
     def test_invalid_kind_raises_and_records_nothing(self):
         telemetry = Telemetry()

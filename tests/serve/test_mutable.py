@@ -300,6 +300,28 @@ class TestObservability:
         assert metrics.counter("compaction_total").value(
             reason="manual") == 1.0
 
+    def test_unobserved_writes_compute_no_state(self, rng, monkeypatch):
+        """With no registry attached, upserts and deletes never read the
+        live ids or build the delta shard: the state gauges are computed
+        only when something records them."""
+        index = MutableIndex.build(random_dense(rng, 10, N_COLS, 0.5),
+                                   metric="euclidean", n_shards=2,
+                                   compact_threshold_rows=10 ** 9)
+        calls = []
+        for name in ("live_ids", "_delta_shard"):
+            original = getattr(MutableIndex, name)
+
+            def counted(self, *args, _name=name, _original=original,
+                        **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(MutableIndex, name, counted)
+        for i in range(4):
+            index.upsert([20 + i], random_dense(rng, 1, N_COLS, 0.5))
+            index.delete([i])
+        assert calls == []
+
     def test_compaction_span(self, rng):
         tracer = Tracer()
         index = MutableIndex.build(random_dense(rng, 10, N_COLS, 0.5),
