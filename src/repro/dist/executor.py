@@ -47,7 +47,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.record import observer
 from repro.obs.telemetry import Telemetry, deterministic_trace_id
 from repro.obs.tracer import (
-    NULL_SPAN,
     Tracer,
     current_trace_context,
     get_default_tracer,
@@ -186,21 +185,17 @@ class DistributedExecutor:
             interconnect=plan.interconnect.name,
             n_workers=part.n_devices, lanes=self.n_workers,
             resume_from=resume_from)
-        self._root_span = root
-        try:
-            with self._obs, root:
-                index = self._done
-                while index < len(self._steps):
-                    kind, payload = self._steps[index]
-                    if kind == "comm":
-                        self._run_comm(index, payload)
-                        index += 1
-                        self._done = index
-                    else:
-                        index = self._run_compute_block(index)
-                value = self._assemble()
-        finally:
-            self._root_span = NULL_SPAN
+        with self._obs, root:
+            index = self._done
+            while index < len(self._steps):
+                kind, payload = self._steps[index]
+                if kind == "comm":
+                    self._run_comm(index, payload, root)
+                    index += 1
+                    self._done = index
+                else:
+                    index = self._run_compute_block(index, root)
+            value = self._assemble()
 
         flat = [(r, c) for r in range(part.grid_rows)
                 for c in range(part.grid_cols)]
@@ -224,13 +219,13 @@ class DistributedExecutor:
         return report
 
     # ------------------------------------------------------------------
-    def _run_comm(self, step_index: int, step) -> None:
+    def _run_comm(self, step_index: int, step, root) -> None:
         """One transfer under the recovery policy (retry + backoff)."""
         plan = self.plan
         policy = self.recovery
         injector = self.link_faults
         span = self.tracer.span(
-            f"comm.{step.phase}", "comm", parent=self._root_span,
+            f"comm.{step.phase}", "comm", parent=root,
             step=step_index, src=step.src, dst=step.dst,
             nbytes=int(step.nbytes))
         with span:
@@ -315,7 +310,7 @@ class DistributedExecutor:
         global_ids = plan.partition.b_panels[c].row_ids[local_idx]
         return report, distances, global_ids
 
-    def _run_compute_block(self, index: int) -> int:
+    def _run_compute_block(self, index: int, root) -> int:
         """Run the contiguous run of pending compute steps from ``index``.
 
         Serial or thread-pooled over devices; results are recorded (and
@@ -345,7 +340,7 @@ class DistributedExecutor:
             self._device_reports[rc] = report
             self._clocks[device] += report.simulated_seconds
             with self.tracer.span(
-                    f"device[{r},{c}]", "tile", parent=self._root_span,
+                    f"device[{r},{c}]", "tile", parent=root,
                     tile=device, lane=device,
                     rows_a=part.a_panels[r].n_rows,
                     rows_b=part.b_panels[c].n_rows) as span:

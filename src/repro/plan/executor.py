@@ -43,6 +43,7 @@ same consumer finishes the job.
 
 from __future__ import annotations
 
+import functools
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -229,8 +230,6 @@ class PlanExecutor:
         self.tracer = tracer if tracer is not None else get_default_tracer()
         self.metrics = metrics
         self._obs = observer(self.tracer, metrics)
-        self._root_span = NULL_SPAN
-        self._lane_base = 0
 
     # ------------------------------------------------------------------
     def execute(self, consumer: Optional[TileConsumer] = None, *,
@@ -296,35 +295,32 @@ class PlanExecutor:
             n_tiles=len(tiles), n_workers=self.n_workers,
             resume_from=resume_from,
             shape=f"{plan.a.n_rows}x{plan.b.n_rows}x{plan.a.n_cols}")
-        self._root_span = root
-        self._lane_base = resume_from
-        try:
-            with obs, root:
-                try:
-                    if self.n_workers == 1 or len(tiles) <= 1:
-                        for tile in tiles:
-                            deliver(self._run_tile(tile))
-                    else:
-                        self._execute_threaded(tiles, resume_from, deliver)
-                except _TileFailure as failure:
-                    self._abort(consumer, failure, fault_log)
-                except Exception as exc:  # consumer bugs: still notify
-                    consumer.abort(exc)
-                    raise
+        run_tile = functools.partial(self._run_tile, root, resume_from)
+        with obs, root:
+            try:
+                if self.n_workers == 1 or len(tiles) <= 1:
+                    for tile in tiles:
+                        deliver(run_tile(tile))
+                else:
+                    self._execute_threaded(tiles, resume_from, run_tile,
+                                           deliver)
+            except _TileFailure as failure:
+                self._abort(consumer, failure, fault_log, root)
+            except Exception as exc:  # consumer bugs: still notify
+                consumer.abort(exc)
+                raise
 
-                norms_seconds = 0.0
-                if tiles and resume_from == 0 and plan.simulate \
-                        and plan.measure.kind == EXPANDED:
-                    norms = _norms_launch(plan)
-                    if norms is not None:
-                        launch = norms.execute(plan.spec)
-                        stats.merge(launch.stats)
-                        norms_seconds = launch.seconds
-                    with self.tracer.span("norms.compute", "norms") as nspan:
-                        nspan.set_sim_seconds(norms_seconds)
-                        nspan.annotate(n_norm_kinds=len(plan.measure.norms))
-        finally:
-            self._root_span = NULL_SPAN
+            norms_seconds = 0.0
+            if tiles and resume_from == 0 and plan.simulate \
+                    and plan.measure.kind == EXPANDED:
+                norms = _norms_launch(plan)
+                if norms is not None:
+                    launch = norms.execute(plan.spec)
+                    stats.merge(launch.stats)
+                    norms_seconds = launch.seconds
+                with self.tracer.span("norms.compute", "norms") as nspan:
+                    nspan.set_sim_seconds(norms_seconds)
+                    nspan.annotate(n_norm_kinds=len(plan.measure.norms))
 
         # Record the last tile's schedule on the plan's kernel (tile order,
         # whatever order workers finished in), so diagnostics like
@@ -347,7 +343,7 @@ class PlanExecutor:
 
     # ------------------------------------------------------------------
     def _execute_threaded(self, tiles: List[Tile], resume_from: int,
-                          deliver) -> None:
+                          run_tile, deliver) -> None:
         """Worker-pool path with the in-order reorder buffer.
 
         A failure in any tile cancels every sibling future before
@@ -357,7 +353,7 @@ class PlanExecutor:
         pending: Dict[int, _RectResult] = {}
         next_index = resume_from
         with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = {pool.submit(self._run_tile, t): t for t in tiles}
+            futures = {pool.submit(run_tile, t): t for t in tiles}
             outstanding = set(futures)
             while outstanding:
                 done, outstanding = wait(outstanding,
@@ -375,7 +371,7 @@ class PlanExecutor:
                     next_index += 1
 
     def _abort(self, consumer: TileConsumer, failure: _TileFailure,
-               delivered_events: List[FaultEvent]) -> None:
+               delivered_events: List[FaultEvent], root) -> None:
         """Notify the consumer, then surface the failure.
 
         Fault-schedule failures (injected faults, or organic ones the
@@ -389,8 +385,7 @@ class PlanExecutor:
                                 kind=_fault_kind(failure.cause),
                                 action="unabsorbed",
                                 detail=str(failure.cause))
-        self._obs.record(failure, root=self._root_span,
-                         unabsorbed=unabsorbed)
+        self._obs.record(failure, root=root, unabsorbed=unabsorbed)
         events = [*delivered_events, *failure.events, unabsorbed]
         if isinstance(failure.cause, InjectedFault) or failure.events:
             raise ExecutionFaultError(
@@ -404,7 +399,7 @@ class PlanExecutor:
         raise failure.cause
 
     # ------------------------------------------------------------------
-    def _run_tile(self, tile: Tile) -> _RectResult:
+    def _run_tile(self, root, lane_base: int, tile: Tile) -> _RectResult:
         """Run one planned tile inside its ``tile[i,j]`` span.
 
         The span attaches to the main thread's ``plan.execute`` root
@@ -414,10 +409,10 @@ class PlanExecutor:
         the failure): the tile's facts are recorded at delivery, in tile
         order, whatever order the workers finished in.
         """
-        lane = (tile.index - self._lane_base) % self.n_workers
+        lane = (tile.index - lane_base) % self.n_workers
         span = self.tracer.span(
             f"tile[{tile.band_a},{tile.band_b}]", "tile",
-            parent=self._root_span, tile=tile.index, lane=lane,
+            parent=root, tile=tile.index, lane=lane,
             rows_a=tile.rows_a, rows_b=tile.rows_b)
         with self._obs, span:
             try:
