@@ -17,7 +17,7 @@ observer (``with obs:``) makes its registry the thread's ambient one.
 from __future__ import annotations
 
 import functools
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.telemetry import deterministic_trace_id, trace_id_for_request
