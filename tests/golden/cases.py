@@ -7,6 +7,10 @@ canonical seeded input pair and records, in ``fixtures/pairwise.json``:
 - the merged :class:`~repro.gpusim.KernelStats` counters;
 - the simulated seconds (makespan and serial).
 
+``fixtures/mutable.json`` pins the delta-merge top-k of a mutation script,
+and ``fixtures/observability.json`` everything the observability layer
+records for three faulted runs (server, distributed, mutable index).
+
 Regenerate after an intentional numerics/cost-model change with::
 
     PYTHONPATH=src python tests/golden/regen.py
