@@ -18,6 +18,9 @@ walks baseline and candidate JSON together, applying a per-metric
   regression (counts, occupancies, burn rates — the default);
 - ``skip``   — ignored (host ``wall_seconds``, raw sample arrays).
 
+A NaN on exactly one side is a regression under every policy but
+``skip``; NaN on both sides is clean.
+
 Structural drift (missing/extra keys, length changes, type changes) is
 always a regression — a bench that silently stops reporting a metric must
 not pass the gate. Exit codes: 0 clean, 1 regression, 2 usage error.
@@ -155,6 +158,11 @@ def _compare_numbers(path: str, base: float, cand: float,
                      policy: MetricPolicy, findings: List[Finding]) -> None:
     if policy.direction == "skip":
         return
+    if math.isnan(base) or math.isnan(cand):
+        if math.isnan(base) != math.isnan(cand):
+            findings.append(Finding(path, "regression", base, cand,
+                                    float("nan"), "NaN on one side"))
+        return
     delta = cand - base
     if abs(delta) <= ABS_TOL:
         return
@@ -210,8 +218,6 @@ def _walk(path: str, base, cand, policies, findings: List[Finding]) -> None:
     base_num = isinstance(base, (int, float)) and not isinstance(base, bool)
     cand_num = isinstance(cand, (int, float)) and not isinstance(cand, bool)
     if base_num and cand_num:
-        if math.isnan(float(base)) and math.isnan(float(cand)):
-            return
         _compare_numbers(path, float(base), float(cand),
                          policy_for(path, policies), findings)
         return

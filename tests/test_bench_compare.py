@@ -111,6 +111,15 @@ class TestComparePayloads:
         nan = float("nan")
         assert compare_payloads({"x": nan}, {"x": nan}) == []
 
+    def test_nan_on_one_side_is_a_regression(self):
+        nan = float("nan")
+        for base, cand in ((1.0, nan), (nan, 1.0)):
+            (f,) = compare_payloads({"p99_latency_ms": base},
+                                    {"p99_latency_ms": cand})
+            assert f.kind == "regression" and f.fails
+        assert compare_payloads({"wall_seconds": 1.0},
+                                {"wall_seconds": nan}) == []
+
     def test_zero_baseline_no_noise(self):
         assert compare_payloads({"x_ms": 0.0}, {"x_ms": 1e-12}) == []
         (f,) = compare_payloads({"x_ms": 0.0}, {"x_ms": 1.0})
