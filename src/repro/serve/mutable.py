@@ -71,12 +71,7 @@ from repro.faults.spec import FaultEvent, FaultKind
 from repro.neighbors.topk import SUPPRESSED_ID, suppress_pairs
 from repro.obs.record import observer
 from repro.obs.tracer import NULL_SPAN
-from repro.plan.pairwise_plan import (
-    PairwisePlan,
-    PreparedOperand,
-    build_pairwise_plan,
-    prepare_operand,
-)
+from repro.plan.pairwise_plan import PreparedOperand, prepare_operand
 from repro.serve.sharding import (
     Shard,
     ShardedIndex,
@@ -323,6 +318,14 @@ class MutableIndex:
         return self._base.n_replicas
 
     @property
+    def batch_rows(self) -> int:
+        return self._base.batch_rows
+
+    @property
+    def memory_budget_bytes(self) -> Optional[int]:
+        return self._base.memory_budget_bytes
+
+    @property
     def base(self) -> ShardedIndex:
         """The frozen base generation (swapped atomically on compaction)."""
         return self._base
@@ -362,15 +365,6 @@ class MutableIndex:
                 "deleted); upsert before querying")
         return self._base.prepare_queries(x)
 
-    def shard_plan(self, shard_id: int,
-                   queries: PreparedOperand) -> PairwisePlan:
-        shard = self.shards[shard_id]
-        return build_pairwise_plan(
-            queries, shard.operand, self.measure, engine=self.engine,
-            device=shard.device,
-            memory_budget_bytes=self._base.memory_budget_bytes,
-            max_tile_rows_b=self._base.batch_rows)
-
     def shard_k(self, shard_id: int, k: int) -> int:
         """Per-shard selection width: base shards widen ``k`` by the
         suppressed ids they own, so at least ``min(k, live-in-shard)``
@@ -392,11 +386,12 @@ class MutableIndex:
         return suppress_pairs(distances, global_ids,
                               self._suppressed_in_shard(shard_id))
 
-    #: The fan-out paths are the frozen index's, run through this
-    #: overlay's widened ``shard_k`` and sentinel masking; empty
-    #: generations (a drained delta) are skipped. ``kneighbors`` is
+    #: The shard plan and fan-out paths are the frozen index's, run
+    #: through this overlay's widened ``shard_k`` and sentinel masking;
+    #: empty generations (a drained delta) are skipped. ``kneighbors`` is
     #: bit-identical to a fresh :class:`~repro.neighbors.NearestNeighbors`
     #: fit of the live corpus for any ``n_workers`` and compaction state.
+    shard_plan = ShardedIndex.shard_plan
     query_shard = ShardedIndex.query_shard
     kneighbors = ShardedIndex.kneighbors
     kneighbors_distributed = ShardedIndex.kneighbors_distributed
