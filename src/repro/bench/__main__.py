@@ -22,6 +22,8 @@ from typing import Callable, Dict, Optional, Union
 from repro.bench.reporting import results_dir, save_json, save_report
 from repro.bench.runner import (
     bench_dataset,
+    cell_payload,
+    fit_and_query,
     run_ablation_cell,
     run_baseline_cell,
     run_burst_cell,
@@ -34,6 +36,7 @@ from repro.bench.runner import (
     run_serve_cell,
     run_slo_cell,
     run_telemetry_cell,
+    tile_budget,
 )
 from repro.bench.tables import bold_min, format_seconds, render_table
 from repro.core.distances import DOT_PRODUCT_DISTANCES, NAMM_DISTANCES
@@ -166,12 +169,12 @@ def report_faults() -> str:
 
     Every cell runs one k-NN query twice — clean, then under the seeded
     chaos schedule with recovery engaged — and checks the recovered
-    distances and indices against the clean twin. The seed sweep is the
-    same one CI's fault-matrix job runs (FAULT_SEED).
+    distances and indices against the clean twin. ``CHAOS_SEED`` narrows
+    the sweep to the one seed a CI chaos job runs.
     """
     import os
 
-    seeds = ([int(os.environ["FAULT_SEED"])] if "FAULT_SEED" in os.environ
+    seeds = ([int(os.environ["CHAOS_SEED"])] if "CHAOS_SEED" in os.environ
              else [0, 1, 2])
     rows = []
     for metric in ("cosine", "jaccard"):
@@ -194,31 +197,6 @@ def report_faults() -> str:
         title="Fault matrix — recovered runs vs clean runs")
 
 
-def _burst_cell_payload(c) -> dict:
-    """The machine-readable slice of one :class:`BurstCell` shared by
-    ``BENCH_serve.json`` and ``BENCH_slo.json``."""
-    return {
-        "backpressure": c.backpressure,
-        "seed": c.seed,
-        "n_submissions": c.n_submissions,
-        "resolved": c.resolved,
-        "shed": c.shed,
-        "rejected": c.rejected,
-        "degraded": c.degraded,
-        "deadline_missed": c.deadline_missed,
-        "reconciled": c.reconciled,
-        "p50_latency_ms": c.p50_latency_ms,
-        "p99_latency_ms": c.p99_latency_ms,
-        "p0_p99_latency_ms": c.p0_p99_latency_ms,
-        "p0_threshold_ms": c.p0_threshold_ms,
-        "p0_ok": c.p0_ok,
-        "p0_alerts": c.p0_alerts,
-        "driver_alerts": c.driver_alerts,
-        "peak_shed_level": c.peak_shed_level,
-        "refusals_by_reason": dict(sorted(c.refusals_by_reason.items())),
-    }
-
-
 @report("serve")
 def report_serve() -> Report:
     """Serving-layer profile: throughput/latency vs batch size and shards.
@@ -227,7 +205,7 @@ def report_serve() -> Report:
     :class:`~repro.serve.Server` for each (micro-batch size, shard count)
     cell, then the heavy-tailed burst trace with and without the
     SLO-driven shed ladder; alongside the tables, everything is written
-    to ``BENCH_serve.json`` (the CI serving-smoke artifact).
+    to ``BENCH_serve.json`` for the baseline gate.
     """
     cells = []
     rows = []
@@ -269,24 +247,9 @@ def report_serve() -> Report:
     payload = {
         "dataset": "movielens",
         "metric": "cosine",
-        "cells": [{
-            "max_batch_rows": c.max_batch_rows,
-            "n_shards": c.n_shards,
-            "placement": c.placement,
-            "n_workers": c.n_workers,
-            "n_requests": c.n_requests,
-            "total_rows": c.total_rows,
-            "n_batches": c.n_batches,
-            "mean_batch_rows": c.mean_batch_rows,
-            "throughput_rows_per_s": c.throughput_rows_per_s,
-            "p50_latency_ms": c.p50_latency_ms,
-            "p99_latency_ms": c.p99_latency_ms,
-            "deadline_missed": c.deadline_missed,
-            "partial_results": c.partial_results,
-            "latency_samples_ms": list(c.latency_samples_ms),
-            "wall_seconds": c.wall_seconds,
-        } for c in cells],
-        "burst": [_burst_cell_payload(c) for c in burst_cells],
+        "cells": [cell_payload(c, "dataset", "metric") for c in cells],
+        "burst": [cell_payload(c, "dataset", "metric", "wall_seconds")
+                  for c in burst_cells],
     }
     return Report(content, json_name="BENCH_serve", json_payload=payload)
 
@@ -305,28 +268,19 @@ def report_profile() -> Report:
     """
     from repro.gpusim.specs import VOLTA_V100
     from repro.kernels import make_engine
-    from repro.neighbors.brute_force import NearestNeighbors
     from repro.obs import Profile, Tracer, write_folded
-    from repro.plan.tiling import OUTPUT_ITEM_BYTES, WORKSPACE_ITEM_BYTES
 
-    ds = bench_dataset("movielens")
-    n_rows = ds.matrix.n_rows
-    monolithic = (float(n_rows) * n_rows * OUTPUT_ITEM_BYTES
-                  + float(ds.matrix.nnz) * WORKSPACE_ITEM_BYTES)
-    budget = max(1, int(monolithic // 8))
-
+    matrix = bench_dataset("movielens").matrix
     sections = []
     payload = {"dataset": "movielens", "metric": "cosine",
                "strategies": {}}
     for row_cache in ("hash", "bloom"):
         tracer = Tracer()
-        kernel = make_engine("hybrid_coo", VOLTA_V100, row_cache=row_cache)
-        nn = NearestNeighbors(
-            n_neighbors=10, metric="cosine", engine=kernel,
-            device=VOLTA_V100, batch_rows=max(1, n_rows),
-            memory_budget_bytes=budget, trace=tracer)
-        nn.fit(ds.matrix)
-        nn.kneighbors()
+        fit_and_query(
+            "movielens", "cosine",
+            make_engine("hybrid_coo", VOLTA_V100, row_cache=row_cache),
+            batch_rows=max(1, matrix.n_rows),
+            memory_budget_bytes=tile_budget(matrix, 8), trace=tracer)
         profile = Profile(tracer)
         folded = write_folded(
             profile, results_dir() / f"profile_{row_cache}.folded")
@@ -353,9 +307,9 @@ def report_slo() -> Report:
     in ``BENCH_slo.json``.
     """
     cell = run_slo_cell("movielens", "cosine")
-    rows = [[obj, f"{at:.1f}", f"{obs:.3f}", "yes" if ok else "NO",
-             f"{burn:.2f}", f"{budget:.1%}"]
-            for obj, at, obs, ok, burn, budget in cell.statuses]
+    rows = [[s["objective"], f"{s['at_ms']:.1f}", f"{s['observed']:.3f}",
+             "yes" if s["ok"] else "NO", f"{s['burn_rate']:.2f}",
+             f"{s['budget_remaining']:.1%}"] for s in cell.statuses]
     content = render_table(
         ["objective", "tick ms", "observed", "ok", "burn", "budget left"],
         rows, title="SLO monitor — movielens/cosine, phased stream "
@@ -376,19 +330,9 @@ def report_slo() -> Report:
          for c in burst_cells],
         title="Priority-0 SLO under burst load — shed ladder off vs on")
     payload = {
-        "dataset": cell.dataset,
-        "metric": cell.metric,
-        "n_requests": cell.n_requests,
-        "deadline_missed": cell.deadline_missed,
-        "p50_latency_ms": cell.p50_latency_ms,
-        "p99_latency_ms": cell.p99_latency_ms,
-        "statuses": [{
-            "objective": obj, "at_ms": at, "observed": obs, "ok": ok,
-            "burn_rate": burn, "budget_remaining": budget,
-        } for obj, at, obs, ok, burn, budget in cell.statuses],
-        "alerts": [{"objective": obj, "at_ms": at, "burn_rate": burn}
-                   for obj, at, burn in cell.alerts],
-        "burst": [_burst_cell_payload(c) for c in burst_cells],
+        **cell_payload(cell, "report_text", "wall_seconds"),
+        "burst": [cell_payload(c, "dataset", "metric", "wall_seconds")
+                  for c in burst_cells],
     }
     return Report(content, json_name="BENCH_slo", json_payload=payload)
 
@@ -448,25 +392,7 @@ def report_ablation() -> Report:
         "n_rows": 96,
         "regimes": [{"regime": r, "n_cols": c, "mean_degree": d}
                     for r, c, d in ABLATION_REGIMES],
-        "cells": [{
-            "regime": c.regime,
-            "metric": c.metric,
-            "sigma": c.sigma,
-            "n_rows": c.n_rows,
-            "n_cols": c.n_cols,
-            "nnz": c.nnz,
-            "degree_cv": c.degree_cv,
-            "fixed_seconds": dict(sorted(c.fixed_seconds.items())),
-            "auto_engine": c.auto_engine,
-            "auto_row_cache": c.auto_row_cache,
-            "auto_seconds": c.auto_seconds,
-            "best_fixed_label": c.best_fixed_label,
-            "best_fixed_seconds": c.best_fixed_seconds,
-            "auto_matches_best": c.auto_matches_best,
-            "auto_minus_best_seconds": c.auto_minus_best_seconds,
-            "identical": c.identical,
-            "wall_seconds": c.wall_seconds,
-        } for c in cells],
+        "cells": [cell_payload(c) for c in cells],
     }
     return Report(content, json_name="BENCH_ablation", json_payload=payload)
 
@@ -509,26 +435,7 @@ def report_mutate() -> Report:
     payload = {
         "metric": cells[0].metric,
         "n_shards": cells[0].n_shards,
-        "cells": [{
-            "seed": c.seed,
-            "n_ops": c.n_ops,
-            "n_upserts": c.n_upserts,
-            "n_deletes": c.n_deletes,
-            "n_compactions": c.n_compactions,
-            "live_rows_final": c.live_rows_final,
-            "generation_final": c.generation_final,
-            "identity_ok": c.identity_ok,
-            "resume_ok": c.resume_ok,
-            "snapshot_roundtrip_ok": c.snapshot_roundtrip_ok,
-            "compaction_retries": c.compaction_retries,
-            "compaction_resumes": c.compaction_resumes,
-            "fault_aborts": c.fault_aborts,
-            "compaction_sim_seconds": c.compaction_sim_seconds,
-            "imbalance_before_rebalance": c.imbalance_before_rebalance,
-            "imbalance_after_rebalance": c.imbalance_after_rebalance,
-            "query_checks": c.query_checks,
-            "wall_seconds": c.wall_seconds,
-        } for c in cells],
+        "cells": [cell_payload(c, "metric", "n_shards") for c in cells],
     }
     return Report(content, json_name="BENCH_mutate", json_payload=payload)
 
@@ -585,35 +492,9 @@ def report_telemetry() -> Report:
     print("  ... console + sampled-trace artifacts saved to "
           f"{out}", file=sys.stderr)
 
-    payload = {
-        "dataset": cell.dataset,
-        "metric": cell.metric,
-        "seed": cell.seed,
-        "head_rate": cell.head_rate,
-        "n_submissions": cell.n_submissions,
-        "resolved": cell.resolved,
-        "refused": cell.refused,
-        "deadline_missed": cell.deadline_missed,
-        "events_total": cell.events_total,
-        "events_total_all": cell.events_total_all,
-        "sampled_total": cell.sampled_total,
-        "dropped_total": cell.dropped_total,
-        "n_traces": cell.n_traces,
-        "p99_threshold_ms": cell.p99_threshold_ms,
-        "schema_valid": cell.schema_valid,
-        "reconciled": cell.reconciled,
-        "reconciliation": cell.reconciliation,
-        "tail_covers_deadline_missed": cell.tail_covers_deadline_missed,
-        "exemplar_buckets": cell.exemplar_buckets,
-        "exemplar_buckets_expected": cell.exemplar_buckets_expected,
-        "exemplar_chain_exact": cell.exemplar_chain_exact,
-        "events_identical": cell.events_identical,
-        "decisions_identical": cell.decisions_identical,
-        "dist_transfers_reconciled": cell.dist_transfers_reconciled,
-        "wall_seconds": cell.wall_seconds,
-    }
     return Report(content, json_name="BENCH_telemetry",
-                  json_payload=payload)
+                  json_payload=cell_payload(cell, "snapshot", "console_text",
+                                            "sampled_records"))
 
 
 #: device counts x interconnect tiers the distributed sweep covers
@@ -666,24 +547,7 @@ def report_scale() -> Report:
         "devices": list(SCALE_DEVICES),
         "interconnects": list(SCALE_TIERS),
         "headline": {"two_d_beats_one_d_at_4plus": headline},
-        "cells": [{
-            "n_devices": c.n_devices,
-            "interconnect": c.interconnect,
-            "chosen_partition": c.chosen_partition,
-            "grid_rows": c.grid_rows,
-            "grid_cols": c.grid_cols,
-            "estimated_seconds": c.estimated_seconds,
-            "compute_seconds_max": c.compute_seconds_max,
-            "comm_seconds": c.comm_seconds,
-            "comm_bytes_total": c.comm_bytes_total,
-            "bytes_by_phase": c.bytes_by_phase,
-            "bytes_by_tier": c.bytes_by_tier,
-            "candidates": c.candidates,
-            "simulated_seconds": c.simulated_seconds,
-            "estimate_equals_executed": c.estimate_equals_executed,
-            "two_d_beats_one_d": c.two_d_beats_one_d,
-            "wall_seconds": c.wall_seconds,
-        } for c in cells],
+        "cells": [cell_payload(c, "metric") for c in cells],
     }
     return Report(content, json_name="BENCH_scale", json_payload=payload)
 

@@ -7,12 +7,18 @@ distance, engine) triple. The runner executes the cell, returning both the
 **simulated device seconds** (the number the tables report — our stand-in
 for the paper's wall clock on a V100) and the host wall seconds (reported
 for transparency; it measures this Python process, not the modeled GPU).
+
+Every cell is a dataclass that is its own ``BENCH_*`` payload entry
+(:func:`cell_payload`), and every ``wall_seconds`` is set in one place,
+:func:`_timed`, around the whole cell call (fit included).
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -40,9 +46,9 @@ __all__ = ["BenchCell", "PlanCell", "FaultCell", "ServeCell", "SLOCell",
            "run_fault_cell", "run_serve_cell", "run_slo_cell",
            "run_burst_cell", "run_ablation_cell", "run_mutate_cell",
            "run_scale_cell", "run_telemetry_cell",
-           "ablation_fixed_configs",
-           "BENCH_SCALES", "bench_dataset", "MINKOWSKI_P", "KNN_K",
-           "CHAOS_SPECS"]
+           "ablation_fixed_configs", "cell_payload", "fit_and_query",
+           "tile_budget", "BENCH_SCALES", "bench_dataset", "MINKOWSKI_P",
+           "KNN_K", "CHAOS_SPECS"]
 
 #: Scales used by every benchmark (documented in EXPERIMENTS.md); chosen so
 #: the full Table-3 sweep completes in minutes on a laptop while preserving
@@ -70,6 +76,49 @@ def bench_dataset(name: str) -> SyntheticDataset:
     return _DATASET_CACHE[name]
 
 
+def cell_payload(cell, *drop: str) -> dict:
+    """A cell's fields as its ``BENCH_*`` payload entry, minus ``drop``
+    (the fields a report moves to the payload head or leaves out)."""
+    return {k: v for k, v in asdict(cell).items() if k not in drop}
+
+
+def _timed(run):
+    """Set the returned cell's ``wall_seconds`` to the host seconds the
+    whole call took."""
+    @functools.wraps(run)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        cell = run(*args, **kwargs)
+        cell.wall_seconds = time.perf_counter() - start
+        return cell
+    return timed
+
+
+def _metric_kwargs(metric: str) -> dict:
+    return {"p": MINKOWSKI_P} if metric == "minkowski" else {}
+
+
+def tile_budget(matrix, n_tiles: int) -> int:
+    """A device budget of ``1/n_tiles`` of the monolithic self-join
+    footprint of ``matrix``, forcing at least that many tiles."""
+    monolithic = (float(matrix.n_rows) * matrix.n_rows * OUTPUT_ITEM_BYTES
+                  + float(matrix.nnz) * WORKSPACE_ITEM_BYTES)
+    return max(1, int(monolithic // max(1, n_tiles)))
+
+
+def fit_and_query(dataset: str, metric: str, engine, *,
+                  spec: DeviceSpec = VOLTA_V100, n_neighbors: int = KNN_K,
+                  **nn_kwargs):
+    """Fit :class:`NearestNeighbors` on a bench dataset and query the whole
+    dataset (the paper's §4.2 unit); returns ``(dist, idx, report)``."""
+    nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric,
+                          metric_params=_metric_kwargs(metric),
+                          engine=engine, device=spec, **nn_kwargs)
+    nn.fit(bench_dataset(dataset).matrix)
+    dist, idx = nn.kneighbors()
+    return dist, idx, nn.last_report
+
+
 @dataclass
 class BenchCell:
     """The outcome of one (dataset, metric, engine) benchmark cell."""
@@ -78,7 +127,7 @@ class BenchCell:
     metric: str
     engine: str
     simulated_seconds: float
-    wall_seconds: float
+    wall_seconds: float = 0.0
     stats: KernelStats = field(repr=False, default_factory=KernelStats)
 
     @property
@@ -86,33 +135,23 @@ class BenchCell:
         return f"{self.dataset}/{self.metric}/{self.engine}"
 
 
-def _metric_kwargs(metric: str) -> dict:
-    return {"p": MINKOWSKI_P} if metric == "minkowski" else {}
-
-
+@_timed
 def run_knn_cell(dataset: str, metric: str, engine: str, *,
                  spec: DeviceSpec = VOLTA_V100, n_neighbors: int = KNN_K,
                  batch_rows: int = 2048, row_cache: Optional[str] = None,
                  ) -> BenchCell:
     """Run one end-to-end k-NN query cell on a named engine."""
-    ds = bench_dataset(dataset)
     kwargs = {}
     if row_cache is not None and engine == "hybrid_coo":
         kwargs["row_cache"] = row_cache
-    kernel = make_engine(engine, spec, **kwargs)
-    nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric,
-                          metric_params=_metric_kwargs(metric),
-                          engine=kernel, device=spec, batch_rows=batch_rows)
-    nn.fit(ds.matrix)
-    start = time.perf_counter()
-    nn.kneighbors()
-    wall = time.perf_counter() - start
-    rep = nn.last_report
+    _, _, rep = fit_and_query(dataset, metric,
+                              make_engine(engine, spec, **kwargs), spec=spec,
+                              n_neighbors=n_neighbors, batch_rows=batch_rows)
     return BenchCell(dataset=dataset, metric=metric, engine=engine,
-                     simulated_seconds=rep.simulated_seconds,
-                     wall_seconds=wall, stats=rep.stats)
+                     simulated_seconds=rep.simulated_seconds, stats=rep.stats)
 
 
+@_timed
 def run_baseline_cell(dataset: str, metric: str, *,
                       spec: DeviceSpec = VOLTA_V100,
                       n_neighbors: int = KNN_K,
@@ -120,18 +159,10 @@ def run_baseline_cell(dataset: str, metric: str, *,
     """Run the paper's baseline for the metric (csrgemm or naive CSR)."""
     measure = make_distance(metric, **_metric_kwargs(metric))
     kernel = baseline_engine_for(measure, spec)
-    ds = bench_dataset(dataset)
-    nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric,
-                          metric_params=_metric_kwargs(metric),
-                          engine=kernel, device=spec, batch_rows=batch_rows)
-    nn.fit(ds.matrix)
-    start = time.perf_counter()
-    nn.kneighbors()
-    wall = time.perf_counter() - start
-    rep = nn.last_report
+    _, _, rep = fit_and_query(dataset, metric, kernel, spec=spec,
+                              n_neighbors=n_neighbors, batch_rows=batch_rows)
     return BenchCell(dataset=dataset, metric=metric, engine=kernel.name,
-                     simulated_seconds=rep.simulated_seconds,
-                     wall_seconds=wall, stats=rep.stats)
+                     simulated_seconds=rep.simulated_seconds, stats=rep.stats)
 
 
 @dataclass
@@ -146,7 +177,7 @@ class PlanCell:
     simulated_seconds: float
     peak_resident_bytes: float
     monolithic_bytes: float
-    wall_seconds: float
+    wall_seconds: float = 0.0
 
     @property
     def resident_fraction(self) -> float:
@@ -154,6 +185,7 @@ class PlanCell:
         return self.peak_resident_bytes / max(self.monolithic_bytes, 1.0)
 
 
+@_timed
 def run_plan_cell(dataset: str, metric: str, *,
                   spec: DeviceSpec = VOLTA_V100, n_neighbors: int = KNN_K,
                   n_workers: int = 1,
@@ -165,31 +197,22 @@ def run_plan_cell(dataset: str, metric: str, *,
     dense block); an integer sets the tile budget to ``1/n_tiles_target`` of
     the monolithic footprint, forcing at least that many tiles.
     """
-    ds = bench_dataset(dataset)
-    n_rows = ds.matrix.n_rows
+    matrix = bench_dataset(dataset).matrix
     budget = None
     mode = "monolithic"
     if n_tiles_target is not None:
-        monolithic = (float(n_rows) * n_rows * OUTPUT_ITEM_BYTES
-                      + float(ds.matrix.nnz) * WORKSPACE_ITEM_BYTES)
-        budget = max(1, int(monolithic // n_tiles_target))
+        budget = tile_budget(matrix, n_tiles_target)
         mode = f"tiled/{n_tiles_target}"
-    nn = NearestNeighbors(n_neighbors=n_neighbors, metric=metric,
-                          metric_params=_metric_kwargs(metric),
-                          engine="hybrid_coo", device=spec,
-                          batch_rows=max(1, n_rows), n_workers=n_workers,
-                          memory_budget_bytes=budget)
-    nn.fit(ds.matrix)
-    start = time.perf_counter()
-    nn.kneighbors()
-    wall = time.perf_counter() - start
-    rep = nn.last_report
+    _, _, rep = fit_and_query(dataset, metric, "hybrid_coo", spec=spec,
+                              n_neighbors=n_neighbors,
+                              batch_rows=max(1, matrix.n_rows),
+                              n_workers=n_workers,
+                              memory_budget_bytes=budget)
     return PlanCell(dataset=dataset, metric=metric, mode=mode,
                     n_tiles=rep.n_batches, n_workers=rep.n_workers,
                     simulated_seconds=rep.simulated_seconds,
                     peak_resident_bytes=rep.peak_resident_bytes,
-                    monolithic_bytes=rep.monolithic_bytes,
-                    wall_seconds=wall)
+                    monolithic_bytes=rep.monolithic_bytes)
 
 
 #: The chaos schedule every fault bench/CI cell replays: each kind fires
@@ -223,11 +246,6 @@ class FaultCell:
     clean_seconds: float
     faulty_seconds: float
 
-    @property
-    def label(self) -> str:
-        return (f"{self.dataset}/{self.metric}/seed{self.seed}"
-                f"/w{self.n_workers}")
-
 
 def run_fault_cell(dataset: str, metric: str, *, seed: int = 0,
                    n_workers: int = 1, n_tiles_target: int = 8,
@@ -240,23 +258,16 @@ def run_fault_cell(dataset: str, metric: str, *, seed: int = 0,
     records whether the recovered run reproduced the clean distances and
     indices bit for bit (the determinism claim the fault matrix checks).
     """
-    ds = bench_dataset(dataset)
-    n_rows = ds.matrix.n_rows
-    monolithic = (float(n_rows) * n_rows * OUTPUT_ITEM_BYTES
-                  + float(ds.matrix.nnz) * WORKSPACE_ITEM_BYTES)
-    budget = max(1, int(monolithic // max(1, n_tiles_target)))
+    matrix = bench_dataset(dataset).matrix
 
     def query(injector):
-        nn = NearestNeighbors(
-            n_neighbors=n_neighbors, metric=metric,
-            metric_params=_metric_kwargs(metric), engine="hybrid_coo",
-            device=spec, batch_rows=max(1, n_rows), n_workers=n_workers,
-            memory_budget_bytes=budget,
+        return fit_and_query(
+            dataset, metric, "hybrid_coo", spec=spec,
+            n_neighbors=n_neighbors, batch_rows=max(1, matrix.n_rows),
+            n_workers=n_workers,
+            memory_budget_bytes=tile_budget(matrix, n_tiles_target),
             recovery=RecoveryPolicy() if injector is not None else None,
             fault_injector=injector)
-        nn.fit(ds.matrix)
-        dist, idx = nn.kneighbors()
-        return dist, idx, nn.last_report
 
     c_dist, c_idx, c_rep = query(None)
     f_dist, f_idx, f_rep = query(FaultInjector(CHAOS_SPECS, seed=seed))
@@ -300,11 +311,7 @@ class AblationCell:
     auto_minus_best_seconds: float
     #: every configuration produced bit-identical distances
     identical: bool
-    wall_seconds: float
-
-    @property
-    def label(self) -> str:
-        return f"{self.regime}/{self.metric}/sigma{self.sigma}"
+    wall_seconds: float = 0.0
 
 
 def ablation_fixed_configs(n_cols: int, spec: DeviceSpec = VOLTA_V100,
@@ -324,6 +331,7 @@ def ablation_fixed_configs(n_cols: int, spec: DeviceSpec = VOLTA_V100,
     return configs
 
 
+@_timed
 def run_ablation_cell(metric: str, *, sigma: float, regime: str,
                       n_cols: int, mean_degree: float, n_rows: int = 96,
                       seed: int = 46,
@@ -338,7 +346,6 @@ def run_ablation_cell(metric: str, *, sigma: float, regime: str,
     """
     mat = make_skewed(n_rows=n_rows, n_cols=n_cols,
                       mean_degree=mean_degree, sigma=sigma, seed=seed)
-    start = time.perf_counter()
     fixed: Dict[str, float] = {}
     reference = None
     identical = True
@@ -357,7 +364,6 @@ def run_ablation_cell(metric: str, *, sigma: float, regime: str,
     report = PlanExecutor(plan).execute(DenseBlockConsumer())
     if reference is not None and not np.array_equal(reference, report.value):
         identical = False
-    wall = time.perf_counter() - start
 
     best_label, best_seconds = min(fixed.items(),
                                    key=lambda kv: (kv[1], kv[0]))
@@ -373,7 +379,7 @@ def run_ablation_cell(metric: str, *, sigma: float, regime: str,
         best_fixed_label=best_label, best_fixed_seconds=best_seconds,
         auto_matches_best=auto_seconds <= best_seconds + 1e-12,
         auto_minus_best_seconds=auto_seconds - best_seconds,
-        identical=identical, wall_seconds=wall)
+        identical=identical)
 
 
 @dataclass
@@ -409,13 +415,10 @@ class ScaleCell:
     #: 2-D strictly cheaper than both 1-D shapes (None below 4 devices,
     #: where the most-square 2-D grid degenerates into a 1-D one)
     two_d_beats_one_d: Optional[bool]
-    wall_seconds: float
-
-    @property
-    def label(self) -> str:
-        return f"p{self.n_devices}/{self.interconnect}"
+    wall_seconds: float = 0.0
 
 
+@_timed
 def run_scale_cell(n_devices: int, interconnect: str, *,
                    metric: str = "cosine",
                    n_neighbors: int = KNN_K) -> ScaleCell:
@@ -432,12 +435,10 @@ def run_scale_cell(n_devices: int, interconnect: str, *,
 
     a = make_skewed(120, 64, mean_degree=10, sigma=1.6, seed=33)
     b = make_skewed(144, 64, mean_degree=12, sigma=1.6, seed=34)
-    start = time.perf_counter()
     plan = build_distributed_plan(a, b, metric, k=n_neighbors,
                                   n_devices=n_devices, partition="auto",
                                   interconnect=interconnect)
     report = DistributedExecutor(plan).execute()
-    wall = time.perf_counter() - start
 
     by_phase: Dict[str, int] = {}
     for step in plan.comm_steps:
@@ -463,19 +464,36 @@ def run_scale_cell(n_devices: int, interconnect: str, *,
         estimate_equals_executed=(report.simulated_seconds
                                   == plan.estimated_seconds),
         bytes_by_tier=dict(sorted(report.bytes_by_tier.items())),
-        two_d_beats_one_d=two_d, wall_seconds=wall)
+        two_d_beats_one_d=two_d)
 
 
+@_timed
 def run_cpu_cell(dataset: str, metric: str) -> BenchCell:
     """Modeled CPU seconds for the scikit-learn-style baseline (§4.2)."""
-    ds = bench_dataset(dataset)
-    cpu = CpuBruteForce()
-    start = time.perf_counter()
-    seconds = cpu.modeled_seconds(ds.matrix, ds.matrix, metric,
-                                  **_metric_kwargs(metric))
-    wall = time.perf_counter() - start
+    matrix = bench_dataset(dataset).matrix
+    seconds = CpuBruteForce().modeled_seconds(matrix, matrix, metric,
+                                              **_metric_kwargs(metric))
     return BenchCell(dataset=dataset, metric=metric, engine="cpu-sklearn",
-                     simulated_seconds=seconds, wall_seconds=wall)
+                     simulated_seconds=seconds)
+
+
+def _serve_index(dataset: str, metric: str, n_shards: int,
+                 placement: str = "degree_balanced"):
+    """A :class:`~repro.serve.ShardedIndex` over a bench dataset."""
+    from repro.serve import ShardedIndex
+
+    return ShardedIndex.build(
+        bench_dataset(dataset).matrix, metric=metric,
+        metric_params=_metric_kwargs(metric), n_shards=n_shards,
+        placement=placement)
+
+
+def _request_block(dataset: str, cursor: int, n_rows: int):
+    """``n_rows`` query rows of a bench dataset from row ``cursor``,
+    wrapped so the slice stays inside the dataset."""
+    matrix = bench_dataset(dataset).matrix
+    lo = cursor % max(1, matrix.n_rows - n_rows)
+    return matrix.slice_rows(lo, lo + n_rows)
 
 
 @dataclass
@@ -500,7 +518,7 @@ class ServeCell:
     #: one latency bucket
     p50_latency_ms: float
     p99_latency_ms: float
-    wall_seconds: float
+    wall_seconds: float = 0.0
     #: per-request simulated latencies, admission order (exact samples the
     #: histogram quantiles approximate; kept in ``BENCH_serve.json`` for
     #: offline analysis, not gated on directly)
@@ -508,12 +526,8 @@ class ServeCell:
     deadline_missed: int = 0
     partial_results: int = 0
 
-    @property
-    def label(self) -> str:
-        return (f"{self.dataset}/{self.metric}/shards{self.n_shards}"
-                f"/batch{self.max_batch_rows}")
 
-
+@_timed
 def run_serve_cell(dataset: str, metric: str, *, n_shards: int = 2,
                    placement: str = "degree_balanced",
                    max_batch_rows: int = 32, max_wait_ms: float = 2.0,
@@ -531,27 +545,19 @@ def run_serve_cell(dataset: str, metric: str, *, n_shards: int = 2,
     reproducible.
     """
     from repro.obs.metrics import MetricsRegistry
-    from repro.serve import Server, ShardedIndex
+    from repro.serve import Server
 
-    ds = bench_dataset(dataset)
-    index = ShardedIndex.build(
-        ds.matrix, metric=metric, metric_params=_metric_kwargs(metric),
-        n_shards=n_shards, placement=placement)
+    index = _serve_index(dataset, metric, n_shards, placement)
     metrics = MetricsRegistry()
     server = Server(index, max_batch_rows=max_batch_rows,
                     max_wait_ms=max_wait_ms, n_workers=n_workers,
                     metrics=metrics)
 
-    n_rows = ds.matrix.n_rows
-    start = time.perf_counter()
-    futures = []
-    for i in range(n_requests):
-        lo = (i * rows_per_request) % max(1, n_rows - rows_per_request)
-        block = ds.matrix.slice_rows(lo, lo + rows_per_request)
-        futures.append(server.submit(block, n_neighbors,
-                                     arrival_ms=i * arrival_gap_ms))
+    futures = [server.submit(
+        _request_block(dataset, i * rows_per_request, rows_per_request),
+        n_neighbors, arrival_ms=i * arrival_gap_ms)
+        for i in range(n_requests)]
     server.drain()
-    wall = time.perf_counter() - start
     results = [f.result() for f in futures]
 
     latencies = tuple(float(r.report.latency_ms) for r in results)
@@ -569,7 +575,6 @@ def run_serve_cell(dataset: str, metric: str, *, n_shards: int = 2,
         throughput_rows_per_s=throughput,
         p50_latency_ms=hist.quantile(0.50),
         p99_latency_ms=hist.quantile(0.99),
-        wall_seconds=wall,
         latency_samples_ms=latencies,
         deadline_missed=int(
             metrics.counter("serve_deadline_missed_total").value()),
@@ -587,14 +592,16 @@ class SLOCell:
     deadline_missed: int
     p50_latency_ms: float
     p99_latency_ms: float
-    #: ``(objective, at_ms, observed, ok, burn_rate, budget_remaining)``
+    #: ``{objective, at_ms, observed, ok, burn_rate, budget_remaining}``
     #: for every monitor tick, in tick order
-    statuses: List[tuple] = field(default_factory=list)
-    alerts: List[tuple] = field(default_factory=list)
+    statuses: List[dict] = field(default_factory=list)
+    #: ``{objective, at_ms, burn_rate}`` for every burn-rate alert
+    alerts: List[dict] = field(default_factory=list)
     report_text: str = ""
     wall_seconds: float = 0.0
 
 
+@_timed
 def run_slo_cell(dataset: str, metric: str, *, n_shards: int = 2,
                  max_batch_rows: int = 16, n_workers: int = 1,
                  phase_requests: int = 16, rows_per_request: int = 4,
@@ -613,12 +620,9 @@ def run_slo_cell(dataset: str, metric: str, *, n_shards: int = 2,
     """
     from repro.obs import SLOMonitor, default_serve_objectives
     from repro.obs.metrics import MetricsRegistry
-    from repro.serve import Server, ShardedIndex
+    from repro.serve import Server
 
-    ds = bench_dataset(dataset)
-    index = ShardedIndex.build(
-        ds.matrix, metric=metric, metric_params=_metric_kwargs(metric),
-        n_shards=n_shards, placement="degree_balanced")
+    index = _serve_index(dataset, metric, n_shards)
     metrics = MetricsRegistry()
     server = Server(index, max_batch_rows=max_batch_rows,
                     max_wait_ms=2.0, n_workers=n_workers, metrics=metrics)
@@ -629,32 +633,29 @@ def run_slo_cell(dataset: str, metric: str, *, n_shards: int = 2,
                                  burn_alert=burn_alert),
         window_ms=window_ms)
 
-    n_rows = ds.matrix.n_rows
     #: (arrival gap ms, deadline slack ms) per phase; the burst slack sits
     #: inside the batch turnaround time so most burst requests miss
     phases = [(2.0, 500.0), (0.05, 0.05), (2.0, 500.0)]
-    start = time.perf_counter()
     arrival = 0.0
     tick_ms = 0.0
     futures = []
-    statuses: List[tuple] = []
+    statuses: List[dict] = []
     for gap_ms, slack_ms in phases:
         for _ in range(phase_requests):
-            lo = (len(futures) * rows_per_request) \
-                % max(1, n_rows - rows_per_request)
-            block = ds.matrix.slice_rows(lo, lo + rows_per_request)
             futures.append(server.submit(
-                block, n_neighbors, arrival_ms=arrival,
+                _request_block(dataset, len(futures) * rows_per_request,
+                               rows_per_request),
+                n_neighbors, arrival_ms=arrival,
                 deadline_ms=arrival + slack_ms))
             arrival += gap_ms
         server.drain()
         tick_ms = max(tick_ms + 1.0,
                       max(b.completion_ms for b in server.batch_reports))
         statuses.extend(
-            (s.objective, s.at_ms, s.observed, s.ok, s.burn_rate,
-             s.budget_remaining)
+            {f: getattr(s, f) for f in ("objective", "at_ms", "observed",
+                                        "ok", "burn_rate",
+                                        "budget_remaining")}
             for s in monitor.observe(tick_ms))
-    wall = time.perf_counter() - start
     for f in futures:
         f.result()
 
@@ -666,9 +667,10 @@ def run_slo_cell(dataset: str, metric: str, *, n_shards: int = 2,
         p50_latency_ms=hist.quantile(0.50),
         p99_latency_ms=hist.quantile(0.99),
         statuses=statuses,
-        alerts=[(a.objective, a.at_ms, a.burn_rate) for a in monitor.alerts],
-        report_text=monitor.render(),
-        wall_seconds=wall)
+        alerts=[{f: getattr(a, f) for f in ("objective", "at_ms",
+                                            "burn_rate")}
+                for a in monitor.alerts],
+        report_text=monitor.render())
 
 
 @dataclass
@@ -707,11 +709,6 @@ class BurstCell:
     refusals_by_reason: Dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
 
-    @property
-    def label(self) -> str:
-        return (f"{self.dataset}/{self.metric}/"
-                f"{'backpressure' if self.backpressure else 'open-loop'}")
-
 
 #: Histogram buckets for the burst cell's microsecond-scale latencies: the
 #: modeled devices chew a 24-row batch in ~7.4 simulated us, so overload
@@ -724,6 +721,85 @@ BURST_BUCKETS_MS: Tuple[float, ...] = tuple(
     0.001 * 2 ** i for i in range(15))
 
 
+#: the overall-latency objective that drives the shed ladder
+DRIVER_OBJECTIVE = "p99_latency_ms"
+
+
+def _replay_burst_trace(dataset: str, metric: str, *, backpressure: bool,
+                        seed: int, n_requests: int, n_shards: int,
+                        max_batch_rows: int, max_wait_ms: float,
+                        p0_p99_ms: float, driver_p99_ms: float,
+                        burn_alert: float, window_ms: float,
+                        poll_interval_ms: float, mean_gap_ms: float,
+                        deadline_slack_ms: float, n_neighbors: int,
+                        **server_kwargs):
+    """Serve one seeded heavy-tailed trace under an SLO monitor (see
+    :func:`run_burst_cell`); ``server_kwargs`` attach extra sinks to the
+    server. Returns ``(server, metrics, monitor, n_submissions,
+    peak_shed_level)``."""
+    from repro.obs import SLOMonitor, priority_latency_objectives
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.slo import SLObjective
+    from repro.serve import (
+        AdmissionRejected,
+        BackpressureController,
+        Server,
+        heavy_tailed_trace,
+    )
+
+    index = _serve_index(dataset, metric, n_shards)
+    metrics = MetricsRegistry()
+    for name in ("serve_latency_ms", "serve_priority_latency_ms",
+                 "serve_queue_wait_ms"):
+        metrics.histogram(name, buckets=BURST_BUCKETS_MS)
+    monitor = SLOMonitor(
+        metrics,
+        (SLObjective(
+            name=DRIVER_OBJECTIVE, kind="quantile",
+            metric="serve_latency_ms", q=0.99, threshold=driver_p99_ms,
+            burn_alert=burn_alert,
+            description="overall p99 latency; drives the shed ladder"),)
+        + priority_latency_objectives({0: p0_p99_ms},
+                                      burn_alert=burn_alert),
+        window_ms=window_ms)
+    controller = (BackpressureController(monitor,
+                                         objective=DRIVER_OBJECTIVE,
+                                         poll_interval_ms=poll_interval_ms)
+                  if backpressure else None)
+    server = Server(index, max_batch_rows=max_batch_rows,
+                    max_wait_ms=max_wait_ms, backpressure=controller,
+                    metrics=metrics, **server_kwargs)
+
+    trace = heavy_tailed_trace(
+        n_requests=n_requests, seed=seed, mean_gap_ms=mean_gap_ms,
+        gap_sigma=1.4, diurnal_period_ms=0.15, diurnal_amplitude=0.9,
+        rows_choices=(1, 2, 4),
+        deadline_ms_by_priority={p: deadline_slack_ms for p in (0, 1, 2)})
+    peak_level = 0
+    row_cursor = 0
+    for t in trace:
+        block = _request_block(dataset, row_cursor, t.n_rows)
+        row_cursor += t.n_rows
+        # The monitor also ticks at arrivals (monotone-guarded) so the
+        # no-backpressure run records the same burn-rate history the
+        # controller would have seen.
+        if t.arrival_ms >= monitor.last_ms:
+            monitor.observe(t.arrival_ms)
+        try:
+            server.submit(block, n_neighbors, arrival_ms=t.arrival_ms,
+                          deadline_ms=t.deadline_ms, priority=t.priority)
+        except AdmissionRejected:
+            pass
+        if controller is not None:
+            peak_level = max(peak_level, controller.level)
+    server.drain()
+    final_ms = max((b.completion_ms for b in server.batch_reports),
+                   default=monitor.last_ms)
+    monitor.observe(max(final_ms, monitor.last_ms))
+    return server, metrics, monitor, len(trace), peak_level
+
+
+@_timed
 def run_burst_cell(dataset: str = "movielens", metric: str = "cosine", *,
                    backpressure: bool, seed: int = 7,
                    n_requests: int = 160, n_shards: int = 2,
@@ -749,76 +825,15 @@ def run_burst_cell(dataset: str = "movielens", metric: str = "cosine", *,
     (resolved/shed/rejected, reconciled to the integer) and the final
     verdict of each objective.
     """
-    from repro.obs import SLOMonitor, priority_latency_objectives
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.slo import SLObjective
-    from repro.serve import (
-        AdmissionRejected,
-        BackpressureController,
-        Server,
-        ShardedIndex,
-        heavy_tailed_trace,
-    )
-
-    ds = bench_dataset(dataset)
-    index = ShardedIndex.build(
-        ds.matrix, metric=metric, metric_params=_metric_kwargs(metric),
-        n_shards=n_shards, placement="degree_balanced")
-    metrics = MetricsRegistry()
-    for name in ("serve_latency_ms", "serve_priority_latency_ms",
-                 "serve_queue_wait_ms"):
-        metrics.histogram(name, buckets=BURST_BUCKETS_MS)
-    driver_objective = "p99_latency_ms"
-    p0_objective = "p99_latency_ms_priority_0"
-    monitor = SLOMonitor(
-        metrics,
-        (SLObjective(
-            name=driver_objective, kind="quantile",
-            metric="serve_latency_ms", q=0.99, threshold=driver_p99_ms,
-            burn_alert=burn_alert,
-            description="overall p99 latency; drives the shed ladder"),)
-        + priority_latency_objectives({0: p0_p99_ms},
-                                      burn_alert=burn_alert),
-        window_ms=window_ms)
-    controller = (BackpressureController(monitor,
-                                         objective=driver_objective,
-                                         poll_interval_ms=poll_interval_ms)
-                  if backpressure else None)
-    server = Server(index, max_batch_rows=max_batch_rows,
-                    max_wait_ms=max_wait_ms, backpressure=controller,
-                    metrics=metrics)
-
-    trace = heavy_tailed_trace(
-        n_requests=n_requests, seed=seed, mean_gap_ms=mean_gap_ms,
-        gap_sigma=1.4, diurnal_period_ms=0.15, diurnal_amplitude=0.9,
-        rows_choices=(1, 2, 4),
-        deadline_ms_by_priority={p: deadline_slack_ms for p in (0, 1, 2)})
-    n_rows = ds.matrix.n_rows
-    start = time.perf_counter()
-    refused = 0
-    peak_level = 0
-    row_cursor = 0
-    for t in trace:
-        lo = row_cursor % max(1, n_rows - t.n_rows)
-        row_cursor += t.n_rows
-        block = ds.matrix.slice_rows(lo, lo + t.n_rows)
-        # The monitor also ticks at arrivals (monotone-guarded) so the
-        # no-backpressure run records the same burn-rate history the
-        # controller would have seen.
-        if t.arrival_ms >= monitor.last_ms:
-            monitor.observe(t.arrival_ms)
-        try:
-            server.submit(block, n_neighbors, arrival_ms=t.arrival_ms,
-                          deadline_ms=t.deadline_ms, priority=t.priority)
-        except AdmissionRejected:
-            refused += 1
-        if controller is not None:
-            peak_level = max(peak_level, controller.level)
-    server.drain()
-    final_ms = max((b.completion_ms for b in server.batch_reports),
-                   default=monitor.last_ms)
-    monitor.observe(max(final_ms, monitor.last_ms))
-    wall = time.perf_counter() - start
+    server, metrics, monitor, n_submissions, peak_level = \
+        _replay_burst_trace(
+            dataset, metric, backpressure=backpressure, seed=seed,
+            n_requests=n_requests, n_shards=n_shards,
+            max_batch_rows=max_batch_rows, max_wait_ms=max_wait_ms,
+            p0_p99_ms=p0_p99_ms, driver_p99_ms=driver_p99_ms,
+            burn_alert=burn_alert, window_ms=window_ms,
+            poll_interval_ms=poll_interval_ms, mean_gap_ms=mean_gap_ms,
+            deadline_slack_ms=deadline_slack_ms, n_neighbors=n_neighbors)
 
     requests_total = int(metrics.counter("serve_requests_total").value())
     resolved = len(server.request_reports)
@@ -827,19 +842,20 @@ def run_burst_cell(dataset: str = "movielens", metric: str = "cosine", *,
     refusals: Dict[str, int] = {}
     for r in server.shed_reports:
         refusals[r.reason] = refusals.get(r.reason, 0) + 1
+    p0_objective = "p99_latency_ms_priority_0"
     p0_status = next(s for s in monitor.last_statuses
                      if s.objective == p0_objective)
     hist = metrics.histogram("serve_latency_ms")
     prio_hist = metrics.histogram("serve_priority_latency_ms")
     return BurstCell(
         dataset=dataset, metric=metric, backpressure=backpressure,
-        seed=seed, n_submissions=len(trace), resolved=resolved, shed=shed,
-        rejected=rejected,
+        seed=seed, n_submissions=n_submissions, resolved=resolved,
+        shed=shed, rejected=rejected,
         degraded=sum(1 for r in server.request_reports if r.degraded),
         deadline_missed=int(
             metrics.counter("serve_deadline_missed_total").value()),
         reconciled=(requests_total == resolved + shed + rejected
-                    and len(trace) == requests_total),
+                    and n_submissions == requests_total),
         p50_latency_ms=hist.quantile(0.50),
         p99_latency_ms=hist.quantile(0.99),
         p0_p99_latency_ms=prio_hist.quantile(0.99, priority="0"),
@@ -847,9 +863,8 @@ def run_burst_cell(dataset: str = "movielens", metric: str = "cosine", *,
         p0_alerts=sum(1 for a in monitor.alerts
                       if a.objective == p0_objective),
         driver_alerts=sum(1 for a in monitor.alerts
-                          if a.objective == driver_objective),
-        peak_shed_level=peak_level, refusals_by_reason=refusals,
-        wall_seconds=wall)
+                          if a.objective == DRIVER_OBJECTIVE),
+        peak_shed_level=peak_level, refusals_by_reason=refusals)
 
 
 @dataclass
@@ -880,13 +895,10 @@ class MutateCell:
     imbalance_before_rebalance: float
     imbalance_after_rebalance: float
     query_checks: int
-    wall_seconds: float
-
-    @property
-    def label(self) -> str:
-        return f"seed{self.seed}/shards{self.n_shards}"
+    wall_seconds: float = 0.0
 
 
+@_timed
 def run_mutate_cell(seed: int = 0, *, metric: str = "euclidean",
                     n_shards: int = 3, n_ops: int = 24,
                     n_neighbors: int = 6) -> MutateCell:
@@ -938,7 +950,6 @@ def run_mutate_cell(seed: int = 0, *, metric: str = "euclidean",
                        and np.array_equal(got[1], want[1]))
         query_checks += 1
 
-    start = time.perf_counter()
     n_upserts = n_deletes = 0
     for op in ops:
         if op.kind == "upsert":
@@ -986,7 +997,6 @@ def run_mutate_cell(seed: int = 0, *, metric: str = "euclidean",
                                            metric=metric)
         snapshot_roundtrip_ok = (np.array_equal(got[0], want[0])
                                  and np.array_equal(got[1], want[1]))
-    wall = time.perf_counter() - start
 
     sim_seconds = sum(r.simulated_seconds
                       for r in index.compaction_reports)
@@ -1009,7 +1019,7 @@ def run_mutate_cell(seed: int = 0, *, metric: str = "euclidean",
         compaction_sim_seconds=sim_seconds,
         imbalance_before_rebalance=imbalance_before,
         imbalance_after_rebalance=imbalance_after,
-        query_checks=query_checks, wall_seconds=wall)
+        query_checks=query_checks)
 
 
 @dataclass
@@ -1068,94 +1078,12 @@ class TelemetryCell:
     sampled_records: List[dict] = field(default_factory=list)
 
 
-def _telemetry_arm(dataset: str, metric: str, *, seed: int,
-                   n_requests: int, n_shards: int, max_batch_rows: int,
-                   max_wait_ms: float, mean_gap_ms: float,
-                   deadline_slack_ms: float, n_neighbors: int,
-                   head_rate: float, n_workers: int, driver_p99_ms: float,
-                   window_ms: float, poll_interval_ms: float):
-    """One instrumented burst-trace run; returns (server, metrics,
-    monitor, telemetry)."""
-    from repro.obs import (
-        SamplingPolicy,
-        SLOMonitor,
-        Telemetry,
-        Tracer,
-        priority_latency_objectives,
-    )
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.slo import SLObjective
-    from repro.serve import (
-        AdmissionRejected,
-        BackpressureController,
-        Server,
-        ShardedIndex,
-        heavy_tailed_trace,
-    )
-
-    ds = bench_dataset(dataset)
-    index = ShardedIndex.build(
-        ds.matrix, metric=metric, metric_params=_metric_kwargs(metric),
-        n_shards=n_shards, placement="degree_balanced")
-    metrics = MetricsRegistry()
-    for name in ("serve_latency_ms", "serve_priority_latency_ms",
-                 "serve_queue_wait_ms"):
-        metrics.histogram(name, buckets=BURST_BUCKETS_MS)
-    driver_objective = "p99_latency_ms"
-    monitor = SLOMonitor(
-        metrics,
-        (SLObjective(
-            name=driver_objective, kind="quantile",
-            metric="serve_latency_ms", q=0.99, threshold=driver_p99_ms,
-            burn_alert=1.5,
-            description="overall p99 latency; drives the shed ladder"),)
-        + priority_latency_objectives({0: 0.08}, burn_alert=1.5),
-        window_ms=window_ms)
-    controller = BackpressureController(
-        monitor, objective=driver_objective,
-        poll_interval_ms=poll_interval_ms)
-    telemetry = Telemetry(
-        policy=SamplingPolicy(head_rate=head_rate, seed=seed))
-    server = Server(index, max_batch_rows=max_batch_rows,
-                    max_wait_ms=max_wait_ms, backpressure=controller,
-                    metrics=metrics, trace=Tracer(), telemetry=telemetry,
-                    n_workers=n_workers)
-
-    trace = heavy_tailed_trace(
-        n_requests=n_requests, seed=seed, mean_gap_ms=mean_gap_ms,
-        gap_sigma=1.4, diurnal_period_ms=0.15, diurnal_amplitude=0.9,
-        rows_choices=(1, 2, 4),
-        deadline_ms_by_priority={p: deadline_slack_ms for p in (0, 1, 2)})
-    n_rows = ds.matrix.n_rows
-    row_cursor = 0
-    for t in trace:
-        lo = row_cursor % max(1, n_rows - t.n_rows)
-        row_cursor += t.n_rows
-        block = ds.matrix.slice_rows(lo, lo + t.n_rows)
-        if t.arrival_ms >= monitor.last_ms:
-            monitor.observe(t.arrival_ms)
-        try:
-            server.submit(block, n_neighbors, arrival_ms=t.arrival_ms,
-                          deadline_ms=t.deadline_ms, priority=t.priority)
-        except AdmissionRejected:
-            pass
-    server.drain()
-    final_ms = max((b.completion_ms for b in server.batch_reports),
-                   default=monitor.last_ms)
-    monitor.observe(max(final_ms, monitor.last_ms))
-    return server, metrics, monitor, telemetry, len(trace)
-
-
 def _canonical_events(telemetry) -> List[str]:
-    import json
-
     return sorted(json.dumps(e, sort_keys=True)
                   for e in telemetry.events)
 
 
 def _canonical_decisions(telemetry) -> bytes:
-    import json
-
     report = telemetry.finalize()
     return json.dumps(
         sorted((d.as_dict() for d in report.decisions),
@@ -1163,6 +1091,7 @@ def _canonical_decisions(telemetry) -> bytes:
         sort_keys=True).encode()
 
 
+@_timed
 def run_telemetry_cell(dataset: str = "movielens",
                        metric: str = "cosine", *, seed: int = 7,
                        n_requests: int = 160, n_shards: int = 2,
@@ -1176,23 +1105,25 @@ def run_telemetry_cell(dataset: str = "movielens",
                        window_ms: float = 0.05,
                        poll_interval_ms: float = 0.002) -> TelemetryCell:
     """Run the telemetry acceptance cell (see :class:`TelemetryCell`)."""
-    import json
-
-    from repro.datasets.synthetic import make_skewed
     from repro.dist import DistributedExecutor, build_distributed_plan
-    from repro.obs import Telemetry, validate_event
-    from repro.obs.console import _critical_path_for
+    from repro.obs import SamplingPolicy, Telemetry, Tracer, validate_event
+    from repro.obs.console import _critical_path_for, render_snapshot
 
-    arm = dict(seed=seed, n_requests=n_requests, n_shards=n_shards,
-               max_batch_rows=max_batch_rows, max_wait_ms=max_wait_ms,
-               mean_gap_ms=mean_gap_ms,
-               deadline_slack_ms=deadline_slack_ms,
-               n_neighbors=n_neighbors, head_rate=head_rate,
-               driver_p99_ms=driver_p99_ms, window_ms=window_ms,
-               poll_interval_ms=poll_interval_ms)
-    start = time.perf_counter()
-    server, metrics, monitor, telemetry, n_submissions = _telemetry_arm(
-        dataset, metric, n_workers=1, **arm)
+    def arm(n_workers: int):
+        telemetry = Telemetry(
+            policy=SamplingPolicy(head_rate=head_rate, seed=seed))
+        server, metrics, monitor, n_submissions, _ = _replay_burst_trace(
+            dataset, metric, backpressure=True, seed=seed,
+            n_requests=n_requests, n_shards=n_shards,
+            max_batch_rows=max_batch_rows, max_wait_ms=max_wait_ms,
+            p0_p99_ms=0.08, driver_p99_ms=driver_p99_ms, burn_alert=1.5,
+            window_ms=window_ms, poll_interval_ms=poll_interval_ms,
+            mean_gap_ms=mean_gap_ms, deadline_slack_ms=deadline_slack_ms,
+            n_neighbors=n_neighbors, trace=Tracer(), telemetry=telemetry,
+            n_workers=n_workers)
+        return server, metrics, monitor, telemetry, n_submissions
+
+    server, metrics, monitor, telemetry, n_submissions = arm(1)
 
     # -- schema: every event validates ---------------------------------
     schema_valid = True
@@ -1266,8 +1197,7 @@ def run_telemetry_cell(dataset: str = "movielens",
             break
 
     # -- serial vs 4-worker: same events, same keep/drop bytes ---------
-    server4, _, _, telemetry4, _ = _telemetry_arm(
-        dataset, metric, n_workers=4, **arm)
+    _, _, _, telemetry4, _ = arm(4)
     events_identical = (_canonical_events(telemetry)
                         == _canonical_events(telemetry4))
     decisions_identical = (_canonical_decisions(telemetry)
@@ -1285,9 +1215,6 @@ def run_telemetry_cell(dataset: str = "movielens",
                == dist_report.n_comm_steps)
 
     snapshot = server.console_snapshot(slo=monitor, top_k=5)
-    from repro.obs.console import render_snapshot
-
-    wall = time.perf_counter() - start
     return TelemetryCell(
         dataset=dataset, metric=metric, seed=seed, head_rate=head_rate,
         n_submissions=n_submissions,
@@ -1312,7 +1239,6 @@ def run_telemetry_cell(dataset: str = "movielens",
         events_identical=events_identical,
         decisions_identical=decisions_identical,
         dist_transfers_reconciled=dist_ok,
-        wall_seconds=wall,
         snapshot=snapshot,
         console_text=render_snapshot(snapshot),
         sampled_records=[dict(e) for e in telemetry.sampled_events()])
