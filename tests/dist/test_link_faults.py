@@ -1,6 +1,6 @@
 """Mid-transfer link faults: retry, abort, watermark resume.
 
-``LINK_SEED`` (env var, default 0) reseeds the whole module — the CI
+``CHAOS_SEED`` (env var, default 0) reseeds the whole module — the CI
 chaos sweep runs it at several seeds and every assertion must hold at all
 of them, because recovery is required to be *bit-transparent*: whatever
 the schedule injects, absorbed runs return exactly the clean answer.
@@ -21,15 +21,15 @@ from repro.errors import ExecutionFaultError
 from repro.faults import FaultSpec, RecoveryPolicy
 from repro.neighbors.brute_force import NearestNeighbors
 
-LINK_SEED = int(os.environ.get("LINK_SEED", "0"))
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 K = 4
 
 
 @pytest.fixture(scope="module")
 def operands():
-    a = make_skewed(22, 30, mean_degree=6, sigma=1.0, seed=31 + LINK_SEED)
-    b = make_skewed(27, 30, mean_degree=6, sigma=1.0, seed=47 + LINK_SEED)
+    a = make_skewed(22, 30, mean_degree=6, sigma=1.0, seed=31 + CHAOS_SEED)
+    b = make_skewed(27, 30, mean_degree=6, sigma=1.0, seed=47 + CHAOS_SEED)
     return a, b
 
 
@@ -49,18 +49,18 @@ def _plan(operands, **kwargs):
 
 def test_injector_rejects_non_transient_specs():
     with pytest.raises(ValueError):
-        LinkFaultInjector((FaultSpec("oom", tiles=(0,)),), seed=LINK_SEED)
+        LinkFaultInjector((FaultSpec("oom", tiles=(0,)),), seed=CHAOS_SEED)
 
 
 def test_fires_at_is_pure():
     specs = (FaultSpec("transient", probability=0.5,
                        attempts=(0, 1)),)
-    one = LinkFaultInjector(specs, seed=LINK_SEED)
-    two = LinkFaultInjector(specs, seed=LINK_SEED)
+    one = LinkFaultInjector(specs, seed=CHAOS_SEED)
+    two = LinkFaultInjector(specs, seed=CHAOS_SEED)
     schedule = [(s, a) for s in range(20) for a in range(2)]
     assert ([one.fires_at(s, a) for s, a in schedule]
             == [two.fires_at(s, a) for s, a in schedule])
-    other = LinkFaultInjector(specs, seed=LINK_SEED + 1)
+    other = LinkFaultInjector(specs, seed=CHAOS_SEED + 1)
     # a different seed is a different (deterministic) schedule
     assert isinstance(other.fires_at(0, 0), bool)
 
@@ -68,7 +68,7 @@ def test_fires_at_is_pure():
 def test_transient_fault_is_absorbed_bit_identically(operands, oracle):
     plan = _plan(operands)
     injector = LinkFaultInjector(
-        (FaultSpec("transient", tiles=(0, 2)),), seed=LINK_SEED)
+        (FaultSpec("transient", tiles=(0, 2)),), seed=CHAOS_SEED)
     report = DistributedExecutor(
         plan, recovery=RecoveryPolicy(), link_faults=injector).execute()
     assert report.n_retries == 2
@@ -85,7 +85,7 @@ def test_chaos_schedule_stays_bit_transparent(operands, oracle):
     absorbed run returns the clean answer exactly."""
     plan = _plan(operands, n_devices=2, partition="1d_col")
     injector = LinkFaultInjector(
-        (FaultSpec("transient", probability=0.4),), seed=LINK_SEED)
+        (FaultSpec("transient", probability=0.4),), seed=CHAOS_SEED)
     report = DistributedExecutor(
         plan, n_workers=2, recovery=RecoveryPolicy(),
         link_faults=injector).execute()
@@ -101,7 +101,7 @@ def test_unrecovered_fault_aborts_with_watermark(operands):
     fatal_step = ex.n_steps - 1
     ex.link_faults = LinkFaultInjector(
         (FaultSpec("transient", tiles=(fatal_step,),
-                   attempts=tuple(range(16))),), seed=LINK_SEED)
+                   attempts=tuple(range(16))),), seed=CHAOS_SEED)
     with pytest.raises(ExecutionFaultError) as err:
         ex.execute()
     assert err.value.watermark == fatal_step
@@ -114,7 +114,7 @@ def test_watermark_resume_completes_bit_identically(operands, oracle):
     fatal_step = ex.n_steps - 1
     ex.link_faults = LinkFaultInjector(
         (FaultSpec("transient", tiles=(fatal_step,),
-                   attempts=tuple(range(16))),), seed=LINK_SEED)
+                   attempts=tuple(range(16))),), seed=CHAOS_SEED)
     with pytest.raises(ExecutionFaultError) as err:
         ex.execute()
     # the link heals; resume from the recorded watermark, same executor
@@ -136,6 +136,6 @@ def test_no_policy_means_first_fault_aborts(operands):
     plan = _plan(operands, n_devices=2, partition="1d_row")
     ex = DistributedExecutor(
         plan, link_faults=LinkFaultInjector(
-            (FaultSpec("transient", tiles=(0,)),), seed=LINK_SEED))
+            (FaultSpec("transient", tiles=(0,)),), seed=CHAOS_SEED))
     with pytest.raises(ExecutionFaultError):
         ex.execute()

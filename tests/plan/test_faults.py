@@ -4,7 +4,7 @@ The acceptance criteria of the fault subsystem:
 
 - a fault schedule the :class:`RecoveryPolicy` absorbs (retry / split /
   degrade) yields **bit-identical** distances to a clean run, for expanded
-  and NAMM distances, serial and on 4 workers (``FAULT_SEED`` lets CI sweep
+  and NAMM distances, serial and on 4 workers (``CHAOS_SEED`` lets CI sweep
   the probability coins);
 - a schedule it cannot absorb aborts with a structured
   :class:`ExecutionFaultError` carrying the fault log and a delivered-tile
@@ -35,8 +35,8 @@ from repro.plan import (
 )
 from tests.conftest import random_csr, random_dense
 
-#: CI's fault-matrix job sweeps this seed; locally it defaults to 0.
-SEED = int(os.environ.get("FAULT_SEED", "0"))
+#: CI's chaos job sweeps this seed; locally it defaults to 0.
+SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 #: Budget that cuts the fault-pair fixture into a 3x3 tile grid.
 FAULT_BUDGET = 600

@@ -7,8 +7,8 @@ seeded random upsert/delete/compact/rebalance/query schedule, the index's
 corpus — regardless of shard count, worker fan-out, compaction state, or
 a compaction that was killed mid-flight and resumed from its watermark.
 
-The ``COMPACTION_SEED`` environment variable (set by the CI mutate-chaos
-matrix) steers the probabilistic fault schedule of the chaos test.
+The ``CHAOS_SEED`` environment variable (set by the CI chaos matrix)
+steers the probabilistic fault schedule of the chaos test.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.testing import (
 METRIC = "euclidean"
 N_COLS = 8
 
-COMPACTION_SEED = int(os.environ.get("COMPACTION_SEED", "0"))
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
 def _build_pair(seed, *, n_shards, include_reshard=False, n_ops=24,
@@ -104,7 +104,7 @@ class TestMidCompactionFault:
         _apply(index, extra)
         oracle.apply(extra)
 
-        injector = FaultInjector(fatal_specs(tiles=1), seed=COMPACTION_SEED)
+        injector = FaultInjector(fatal_specs(tiles=1), seed=CHAOS_SEED)
         with pytest.raises(CompactionFaultError) as excinfo:
             index.compact(fault_injector=injector)
         assert excinfo.value.watermark == 1
@@ -148,15 +148,15 @@ class TestChaos:
         abort any number of times, but resuming must always converge and
         never break serving identity (seed swept by CI)."""
         index, oracle, ops, queries = _build_pair(
-            808 + COMPACTION_SEED, n_shards=3)
+            808 + CHAOS_SEED, n_shards=3)
         storm = (FaultSpec(kind=FaultKind.STUCK, probability=0.45,
                            attempts=(0, 1, 2, 3), depths=(0,)),)
         recovery = RecoveryPolicy(max_retries=1)
-        rng = seeded_rng(4242 + COMPACTION_SEED)
+        rng = seeded_rng(4242 + CHAOS_SEED)
         for step, op in enumerate(ops):
             if op.kind in ("compact", "rebalance"):
                 injector = FaultInjector(
-                    storm, seed=COMPACTION_SEED * 1000 + step)
+                    storm, seed=CHAOS_SEED * 1000 + step)
                 for round_no in range(64):
                     try:
                         if index.pending_compaction:

@@ -5,8 +5,8 @@ invisible in the delivered results — the sibling resumes the *same*
 consumer from the *same* watermark over bit-identical prepared operands,
 so the merged top-k equals the unsharded estimator's exactly. Only when
 every replica of a shard is dead does the server degrade to the PR-4
-partial-results path. CI's ``serve-chaos`` job sweeps ``REPLICA_SEED``
-over which replica dies.
+partial-results path. CI's ``chaos`` job sweeps ``CHAOS_SEED`` over
+which replica dies.
 """
 
 import os
@@ -22,8 +22,8 @@ from repro.testing import DEFAULT_SEED, random_csr, seeded_rng, skewed_csr
 
 K = 6
 
-#: CI sweeps this over {0, 1, 2}; it seeds which replica dies.
-REPLICA_SEED = int(os.environ.get("REPLICA_SEED", "0"))
+#: CI sweeps this over {0, ..., 4}; it seeds which replica dies.
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 
 @pytest.fixture
@@ -46,7 +46,7 @@ def fatal_injector(*, tiles=None, seed=0):
     return FaultInjector(fatal_specs(tiles=tiles), seed=seed)
 
 
-def victim_for(n_shards, n_replicas, seed=REPLICA_SEED):
+def victim_for(n_shards, n_replicas, seed=CHAOS_SEED):
     """The (shard, replica) the chaos seed kills — a pure function of
     the sweep coordinates, so every CI seed kills a different spot."""
     rng = np.random.default_rng([seed, n_shards, n_replicas])
