@@ -57,8 +57,8 @@ EVENT_KINDS = ("request", "tile", "transfer", "fault", "failover",
                "shed", "compaction")
 
 #: JSON-schema document every emitted record conforms to (validated by
-#: :func:`validate_event`; the CI telemetry job re-validates the bench
-#: run's full stream against it).
+#: :func:`validate_event`; the ``telemetry`` bench report re-validates
+#: its full stream against it).
 EVENT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "repro telemetry wide event",
