@@ -31,7 +31,7 @@ class TestCli:
 
     def test_regenerated_payloads_pass_the_gate(self, tmp_path, monkeypatch):
         """Four gated payloads, rebuilt from scratch, match the committed
-        baselines (burst cells, telemetry driver, scale and mutate)."""
+        baselines (burst cells, telemetry cell, scale and mutate)."""
         monkeypatch.setenv("REPRO_BENCH_RESULTS", str(tmp_path))
         assert main(["scale", "mutate", "slo", "telemetry"]) == 0
         assert main(["compare", "BENCH_scale", "BENCH_mutate", "BENCH_slo",
