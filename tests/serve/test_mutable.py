@@ -180,6 +180,49 @@ class TestCompaction:
         assert report.completed_ms > report.started_ms
         assert report.started_ms == 10.0
 
+    @pytest.mark.parametrize("case", ["plain", "resumed", "retarget"])
+    def test_lands_on_fresh_build_layout(self, rng, case):
+        """A compacted base is shard for shard the base a fresh build of
+        the live corpus would cut with the same layout."""
+        index = MutableIndex.build(random_dense(rng, 16, N_COLS, 0.5),
+                                   metric="euclidean", n_shards=2,
+                                   devices=["volta", "ampere"],
+                                   batch_rows=512, n_replicas=2,
+                                   compact_threshold_rows=10 ** 9)
+        index.upsert([3, 40, 41], random_dense(rng, 3, N_COLS, 0.5))
+        index.delete([1, 7])
+        if case == "resumed":
+            with pytest.raises(CompactionFaultError):
+                index.compact(fault_injector=FaultInjector(
+                    fatal_specs(tiles=1), seed=5))
+            index.compact()
+        elif case == "retarget":
+            index.compact(placement="degree_balanced", n_shards=4)
+        else:
+            index.compact()
+        ids, raw = index.materialize()
+        got = index.base
+        want = MutableIndex.build(
+            raw, ids, metric="euclidean", n_shards=got.n_shards,
+            placement=got.placement, engine=got.engine,
+            devices=[s.device.name for s in got.shards],
+            batch_rows=got.batch_rows, n_replicas=got.n_replicas).base
+        for name in ("placement", "engine", "batch_rows", "n_replicas",
+                     "memory_budget_bytes", "n_shards"):
+            assert getattr(got, name) == getattr(want, name), name
+        for mine, fresh in zip(got.shards, want.shards):
+            assert mine.shard_id == fresh.shard_id
+            assert mine.device.name == fresh.device.name
+            np.testing.assert_array_equal(mine.global_ids, fresh.global_ids)
+            for name in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(
+                    getattr(mine.operand.csr, name),
+                    getattr(fresh.operand.csr, name))
+            assert sorted(mine.operand.norms) == sorted(fresh.operand.norms)
+            for kind, values in fresh.operand.norms.items():
+                np.testing.assert_array_equal(mine.operand.norms[kind],
+                                              values)
+
 
 class TestRebalance:
     def test_imbalance_grows_with_skewed_deletes(self, rng):
