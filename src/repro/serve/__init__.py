@@ -13,10 +13,10 @@ package turns them into a *service* (see DESIGN.md §10 and §13):
   query blocks into micro-batches on a simulated clock
   (``max_batch_rows`` / ``max_wait_ms``), ordered
   earliest-deadline-first within priority class;
-- :class:`Server` — ``submit()``/``kneighbors_async()`` futures, fan-out
-  of each batch across the shards' least-loaded live replicas, cross-
-  shard top-k merge with global tie-breaks (bit-identical to the
-  unsharded estimator), watermark resume on injected faults, mid-batch
+- :class:`Server` — ``submit()`` futures, fan-out of each batch across
+  the shards' least-loaded live replicas, cross-shard top-k merge with
+  global tie-breaks (bit-identical to the unsharded estimator),
+  watermark resume on injected faults, mid-batch
   **failover** to a sibling replica when one dies (still bit-identical),
   and ``partial=True`` degradation only once every replica of a shard is
   gone — all reported through ``serve.batch`` / ``shard[i]`` /

@@ -110,9 +110,6 @@ class ReplicaRouter:
     def replica(self, shard_id: int, replica_id: int) -> ReplicaState:
         return self._pools[shard_id][replica_id]
 
-    def live(self, shard_id: int) -> Tuple[ReplicaState, ...]:
-        return tuple(r for r in self._pools[shard_id] if r.healthy)
-
     @property
     def n_unhealthy(self) -> int:
         return sum(1 for pool in self._pools for r in pool if not r.healthy)

@@ -21,17 +21,6 @@ from repro.faults.spec import FaultEvent
 __all__ = ["ServeRequest", "ShardReport", "BatchReport", "RequestReport",
            "ServeResult", "ServeFuture", "ShedReport"]
 
-_AUTO_ID = threading.Lock()
-_next_id = 0
-
-
-def _fresh_request_id() -> int:
-    global _next_id
-    with _AUTO_ID:
-        _next_id += 1
-        return _next_id
-
-
 @dataclass(frozen=True)
 class ServeRequest:
     """One admitted k-NN query: a block of query rows + per-request knobs.

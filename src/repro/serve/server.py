@@ -289,11 +289,6 @@ class Server:
             arrival_ms=request.arrival_ms,
             queue_depth=self.scheduler.queue_depth)
 
-    def kneighbors_async(self, x, n_neighbors: int = 5,
-                         **kwargs) -> ServeFuture:
-        """Estimator-flavored alias for :meth:`submit`."""
-        return self.submit(x, n_neighbors, **kwargs)
-
     def drain(self, now_ms: Optional[float] = None) -> List[ServeResult]:
         """Flush and execute the forming batch; resolve all futures.
 
