@@ -140,12 +140,13 @@ def _replica_fault(obs, err, *, span):
                       else "ExecutionFaultError"))
 
 
-def _replica_failed(obs, failure, *, span, replica_id):
-    """_ReplicaFailure: a replica exhausted its resumes; fail over."""
+def _replica_failed(obs, state, *, span, watermark):
+    """ReplicaState: a replica exhausted its resumes and was marked
+    unhealthy; the shard fails over from ``watermark``."""
     _inc(obs, "serve_replica_failures_total",
          "replicas marked unhealthy after exhausting their resume ladder")
-    span.event("shard.failover", "fault", replica_id=replica_id,
-               watermark=failure.watermark)
+    span.event("shard.failover", "fault", replica_id=state.replica_id,
+               watermark=watermark)
 
 
 def _shard(obs, report, *, span):
@@ -456,17 +457,17 @@ def _projections() -> dict:
     from repro.plan.executor import _TileFailure
     from repro.serve.mutable import CompactionReport, MutableIndex
     from repro.serve.mutable import _PendingCompaction
+    from repro.serve.replication import ReplicaState
     from repro.serve.request import BatchReport, RequestReport, ShardReport
     from repro.serve.request import ServeRequest, ShedReport
     from repro.serve.scheduler import QueryScheduler
-    from repro.serve.server import _ReplicaFailure
 
     return {
         ServeRequest: _submitted,
         ShedReport: _refused,
         QueryScheduler: _queued,
         ExecutionFaultError: _replica_fault,
-        _ReplicaFailure: _replica_failed,
+        ReplicaState: _replica_failed,
         ShardReport: _shard,
         BatchReport: _batch,
         RequestReport: _resolved,

@@ -12,7 +12,7 @@ path drop its per-batch query re-preparation and norm recomputation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -34,9 +34,10 @@ from repro.plan.tiling import (
 )
 from repro.sparse.convert import as_csr
 from repro.sparse.csr import CSRMatrix
+from repro.sparse.ops import vstack
 
 __all__ = ["PairwisePlan", "PreparedOperand", "build_pairwise_plan",
-           "prepare_matrix", "prepare_operand"]
+           "prepare_matrix", "prepare_operand", "stack_operands"]
 
 
 def prepare_matrix(x, measure: DistanceMeasure) -> CSRMatrix:
@@ -93,6 +94,19 @@ def prepare_operand(x, measure: DistanceMeasure) -> PreparedOperand:
     norms = (compute_norms(csr, measure.norms)
              if measure.kind == EXPANDED else None)
     return PreparedOperand(csr, measure.name, norms)
+
+
+def stack_operands(blocks: Sequence[PreparedOperand]) -> PreparedOperand:
+    """Stack prepared operands vertically, values and norms, in order
+    (a single block is returned as is)."""
+    if len(blocks) == 1:
+        return blocks[0]
+    norms = None
+    if blocks[0].norms:
+        norms = {kind: np.concatenate([b.norms[kind] for b in blocks])
+                 for kind in sorted(blocks[0].norms)}
+    return PreparedOperand(vstack([b.csr for b in blocks]),
+                           blocks[0].measure_name, norms)
 
 
 def _check_operand_measure(operand: PreparedOperand,

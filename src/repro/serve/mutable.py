@@ -26,22 +26,24 @@ candidates survive each shard's selection, and the sentinel sorts after
 every real candidate. ``tests/serve/test_mutable_differential.py`` replays
 randomized op schedules against exactly that oracle at every prefix.
 
-**Compaction.** :meth:`compact` seals the memtable, materializes the live
-raw corpus, and rebuilds the base shard by shard on the simulated clock.
-Shard builds run under the PR-2 :class:`~repro.faults.RecoveryPolicy`
-(classify → retry with simulated backoff); a fault that exhausts the
-budget raises :class:`~repro.errors.CompactionFaultError` carrying the
-shard **watermark** — the pending state is kept, serving continues from
-base + sealed delta + (new) memtable, and a later :meth:`compact` resumes
-from the watermark. :meth:`rebalance` is a compaction onto
+**Compaction.** :meth:`compact` materializes the live raw corpus, cuts
+the next generation with the same shard constructor a fresh build uses,
+seals the memtable, and charges the shard builds to the simulated clock
+one at a time. Shard builds run under the
+:class:`~repro.faults.RecoveryPolicy` (classify → retry with simulated
+backoff); a fault that exhausts the budget raises
+:class:`~repro.errors.CompactionFaultError` carrying the shard
+**watermark** — the pending state is kept, serving continues from base +
+sealed delta + (new) memtable, and a later :meth:`compact` resumes
+charging from the watermark. :meth:`rebalance` is a compaction onto
 ``degree_balanced`` placement for when degree drift breaks the original
 split (:meth:`imbalance` measures the live-nnz skew).
 
 **Snapshots.** :meth:`snapshot` writes rolling versioned ``.npz`` files
 of the live logical state (raw rows + ids + config); :meth:`restore`
-rebuilds any retained version — point-in-time recovery with the same
-field-naming :class:`~repro.errors.SnapshotFormatError` validation the
-frozen index's loader has.
+rebuilds any retained version — point-in-time recovery. The layout
+fields are the frozen index's snapshot schema, read back by the same
+field-naming :class:`~repro.errors.SnapshotFormatError` validation.
 """
 
 from __future__ import annotations
@@ -75,11 +77,11 @@ from repro.plan.pairwise_plan import PreparedOperand, prepare_operand
 from repro.serve.sharding import (
     Shard,
     ShardedIndex,
-    _resolve_devices,
     build_snapshot_csr,
+    index_config,
     load_snapshot_arrays,
     parse_snapshot_meta,
-    plan_shard_assignment,
+    read_index_config,
     require_meta_field,
 )
 from repro.sparse.builder import CSRRowBuilder
@@ -148,22 +150,16 @@ class _PendingCompaction:
     reason: str
     ids: np.ndarray
     raw: CSRMatrix
-    prepared: PreparedOperand
-    assignment: List[np.ndarray]
-    specs: list
-    placement: str
-    n_shards: int
+    #: the next generation, cut once when the compaction starts
+    index: ShardedIndex
     started_ms: float
     absorbed_rows: int
     absorbed_tombstones: int
-    built: List[Shard] = field(default_factory=list)
+    #: shards of ``index`` whose build has been charged; a resume starts here
+    watermark: int = 0
     simulated_seconds: float = 0.0
     n_retries: int = 0
     fault_log: List[FaultEvent] = field(default_factory=list)
-
-    @property
-    def watermark(self) -> int:
-        return len(self.built)
 
 
 class MutableIndex:
@@ -188,7 +184,6 @@ class MutableIndex:
                  compact_threshold_rows: int = 256,
                  compact_interval_ms: Optional[float] = None,
                  snapshot_retention: int = 4,
-                 delta_device=None,
                  recovery: Optional[RecoveryPolicy] = None,
                  generation: int = 0,
                  next_snapshot_version: int = 1,
@@ -215,8 +210,7 @@ class MutableIndex:
         self.compact_interval_ms = (None if compact_interval_ms is None
                                     else float(compact_interval_ms))
         self.snapshot_retention = int(snapshot_retention)
-        self._delta_device = (base.shards[0].device if delta_device is None
-                              else delta_device)
+        self._delta_device = base.shards[0].device
         self.recovery = recovery if recovery is not None else RecoveryPolicy()
         self._obs = observer(tracer, metrics, telemetry)
         self.tracer = self._obs.tracer
@@ -234,11 +228,10 @@ class MutableIndex:
         self._now_ms = 0.0
         self._last_compact_ms = 0.0
         self._lock = threading.RLock()
-        #: bumped on every visible mutation; keys the delta/suppression caches
-        self._epoch = 0
-        self._delta_cache: Tuple[int, Optional[Shard]] = (-1, None)
-        self._supp_cache: Tuple[int, Optional[np.ndarray]] = (-1, None)
-        self._supp_shard_cache: Dict[int, Tuple[int, np.ndarray]] = {}
+        #: views derived from the current state (suppressed ids, overall
+        #: and per base shard; the delta pseudo-shard), dropped on every
+        #: visible mutation
+        self._cache: dict = {}
         self.compaction_reports: List[CompactionReport] = []
         self._touch()
 
@@ -267,11 +260,11 @@ class MutableIndex:
         _check_ids(ids)
         measure = (metric if isinstance(metric, DistanceMeasure)
                    else make_distance(metric, **(metric_params or {})))
-        base = _build_base(raw, ids, measure, n_shards=n_shards,
-                           placement=placement, engine=engine,
-                           devices=devices, batch_rows=batch_rows,
-                           memory_budget_bytes=memory_budget_bytes,
-                           n_replicas=n_replicas)
+        base = ShardedIndex._from_prepared(
+            prepare_operand(raw, measure), ids, measure, n_shards=n_shards,
+            placement=placement, engine=engine, devices=devices,
+            batch_rows=batch_rows, memory_budget_bytes=memory_budget_bytes,
+            n_replicas=n_replicas)
         return cls(base, ids, raw, **knobs)
 
     # ------------------------------------------------------------------
@@ -470,14 +463,16 @@ class MutableIndex:
                 ) -> CompactionReport:
         """Fold the delta levels into a new base generation.
 
-        Shard builds are charged to the simulated clock and run under
-        ``recovery`` (default: the index's policy): classified faults
-        retry with simulated backoff up to ``max_retries``; exhaustion
-        raises :class:`~repro.errors.CompactionFaultError` with the shard
+        The next generation is cut once, as a fresh build of the live
+        corpus would cut it; its shard builds are then charged to the
+        simulated clock one at a time under ``recovery`` (default: the
+        index's policy): classified faults retry with simulated backoff
+        up to ``max_retries``; exhaustion raises
+        :class:`~repro.errors.CompactionFaultError` with the shard
         watermark and keeps the pending state — serving continues from
         the old generation, and the next :meth:`compact` call **resumes**
-        building at the watermark (a fresh call-level fault injector and
-        retry budget, mirroring the server's escalation ladder).
+        at the watermark (a fresh call-level fault injector and retry
+        budget, mirroring the server's escalation ladder).
 
         ``placement`` / ``n_shards`` / ``devices`` re-target the new
         generation (:meth:`rebalance` uses this); when a compaction
@@ -575,18 +570,8 @@ class MutableIndex:
             meta = {
                 "format": MUTABLE_SNAPSHOT_VERSION,
                 "snapshot_version": version,
-                "metric": self.metric,
-                "metric_params": dict(self.measure.params),
-                "engine": self.engine,
-                "placement": self._base.placement,
-                "batch_rows": self._base.batch_rows,
-                "memory_budget_bytes": self._base.memory_budget_bytes,
-                "n_shards": self.n_base_shards,
-                "n_replicas": self.n_replicas,
-                "n_rows": int(ids.size),
-                "n_cols": self.n_cols,
+                **index_config(self._base, ids.size),
                 "generation": self._generation,
-                "devices": [s.device.name for s in self._base.shards],
                 "compact_threshold_rows": self.compact_threshold_rows,
                 "compact_interval_ms": self.compact_interval_ms,
                 "snapshot_retention": self.snapshot_retention,
@@ -644,31 +629,10 @@ class MutableIndex:
         meta = parse_snapshot_meta(
             arrays, path, expected_version=MUTABLE_SNAPSHOT_VERSION,
             version_field="format")
-        metric = require_meta_field(meta, "metric", str, path)
-        metric_params = require_meta_field(meta, "metric_params", dict, path)
-        engine = require_meta_field(meta, "engine", str, path)
-        placement = require_meta_field(meta, "placement", str, path)
-        batch_rows = require_meta_field(meta, "batch_rows", int, path)
-        memory_budget = require_meta_field(
-            meta, "memory_budget_bytes", (int, type(None)), path)
-        n_shards = require_meta_field(meta, "n_shards", int, path)
-        n_replicas = require_meta_field(meta, "n_replicas", int, path)
-        n_rows = require_meta_field(meta, "n_rows", int, path)
-        n_cols = require_meta_field(meta, "n_cols", int, path)
+        measure, n_rows, n_cols, layout = read_index_config(meta, path)
         generation = require_meta_field(meta, "generation", int, path)
-        devices = require_meta_field(meta, "devices", list, path)
         snapshot_version = require_meta_field(
             meta, "snapshot_version", int, path)
-        if len(devices) != n_shards:
-            raise SnapshotFormatError(
-                f"snapshot {path!r} field 'devices' lists {len(devices)} "
-                f"entries for {n_shards} shards")
-        try:
-            measure = make_distance(metric, **metric_params)
-        except Exception as exc:
-            raise SnapshotFormatError(
-                f"snapshot {path!r} field 'metric' names an unusable "
-                f"measure {metric!r}: {exc}") from exc
         if "ids" not in arrays:
             raise SnapshotFormatError(
                 f"snapshot {path!r} is missing array 'ids'")
@@ -683,12 +647,8 @@ class MutableIndex:
             raise SnapshotFormatError(
                 f"snapshot {path!r} array 'ids' is invalid: {exc}") from exc
         raw = build_snapshot_csr(arrays, n_rows, n_cols, path)
-        base = _build_base(raw, ids, measure, n_shards=n_shards,
-                           placement=placement, engine=engine,
-                           devices=[str(d) for d in devices],
-                           batch_rows=batch_rows,
-                           memory_budget_bytes=memory_budget,
-                           n_replicas=n_replicas)
+        base = ShardedIndex._from_prepared(prepare_operand(raw, measure),
+                                           ids, measure, **layout)
         knobs.setdefault("compact_threshold_rows",
                          require_meta_field(meta, "compact_threshold_rows",
                                             int, path, default=256))
@@ -706,35 +666,30 @@ class MutableIndex:
     # internals
     # ------------------------------------------------------------------
     def _touch(self, **change) -> None:
-        """A visible mutation: bump the cache epoch, record the new state."""
-        self._epoch += 1
+        """A visible mutation: drop the cached views, record the new
+        state."""
+        self._cache.clear()
         self._obs.record(self, **change)
 
     def _suppressed_for_base(self) -> np.ndarray:
         """Sorted ids whose base-generation rows must not be served."""
-        epoch, cached = self._supp_cache
-        if epoch == self._epoch and cached is not None:
-            return cached
-        suppressed: Set[int] = set(self._mem_latest)
-        suppressed |= self._mem_tombstones
-        if self._sealed is not None:
-            suppressed.update(int(i) for i in self._sealed.ids)
-            suppressed |= set(self._sealed.tombstones)
-        array = np.fromiter(sorted(suppressed), dtype=np.int64,
-                            count=len(suppressed))
-        self._supp_cache = (self._epoch, array)
-        self._supp_shard_cache.clear()
-        return array
+        if "suppressed" not in self._cache:
+            suppressed: Set[int] = set(self._mem_latest)
+            suppressed |= self._mem_tombstones
+            if self._sealed is not None:
+                suppressed.update(int(i) for i in self._sealed.ids)
+                suppressed |= set(self._sealed.tombstones)
+            self._cache["suppressed"] = np.fromiter(
+                sorted(suppressed), dtype=np.int64, count=len(suppressed))
+        return self._cache["suppressed"]
 
     def _suppressed_in_shard(self, shard_id: int) -> np.ndarray:
-        cached = self._supp_shard_cache.get(shard_id)
-        if cached is not None and cached[0] == self._epoch:
-            return cached[1]
-        suppressed = self._suppressed_for_base()
-        shard_ids = self._base.shards[shard_id].global_ids
-        owned = np.intersect1d(shard_ids, suppressed, assume_unique=True)
-        self._supp_shard_cache[shard_id] = (self._epoch, owned)
-        return owned
+        key = ("suppressed", shard_id)
+        if key not in self._cache:
+            self._cache[key] = np.intersect1d(
+                self._base.shards[shard_id].global_ids,
+                self._suppressed_for_base(), assume_unique=True)
+        return self._cache[key]
 
     def _delta_visible_ids(self) -> np.ndarray:
         visible: Set[int] = set(self._mem_latest)
@@ -748,17 +703,14 @@ class MutableIndex:
                            count=len(visible))
 
     def _delta_shard(self) -> Shard:
-        """The delta pseudo-shard (cached per mutation epoch)."""
-        epoch, cached = self._delta_cache
-        if epoch == self._epoch and cached is not None:
-            return cached
-        ids = self._delta_visible_ids()
-        raw = self._gather_raw(ids)
-        shard = Shard(shard_id=self._base.n_shards, global_ids=ids,
-                      operand=prepare_operand(raw, self.measure),
-                      device=self._delta_device)
-        self._delta_cache = (self._epoch, shard)
-        return shard
+        """The delta pseudo-shard."""
+        if "delta" not in self._cache:
+            ids = self._delta_visible_ids()
+            self._cache["delta"] = Shard(
+                shard_id=self._base.n_shards, global_ids=ids,
+                operand=prepare_operand(self._gather_raw(ids), self.measure),
+                device=self._delta_device)
+        return self._cache["delta"]
 
     def _gather_raw(self, ids: np.ndarray) -> CSRMatrix:
         """Raw rows for the given live ids (newest version of each)."""
@@ -813,8 +765,10 @@ class MutableIndex:
 
     def _start_compaction(self, placement, n_shards, devices,
                           reason: str) -> Optional[CompactionReport]:
-        """Seal + materialize + plan; returns a no-op report when there
-        is nothing to absorb and no re-targeting was requested."""
+        """Materialize the live corpus, cut the next generation, then seal
+        the memtable; returns a no-op report when there is nothing to
+        absorb and no re-targeting was requested. A refused layout leaves
+        the index as it was."""
         placement = (self._base.placement if placement is None
                      else placement)
         n_shards = (self._base.n_shards if n_shards is None
@@ -830,31 +784,28 @@ class MutableIndex:
                 simulated_seconds=0.0, started_ms=self._now_ms,
                 completed_ms=self._now_ms, noop=True)
             return report
-        absorbed_tombstones = len(self._mem_tombstones)
-        self._seal_memtable()
-        absorbed_rows = int(self._sealed.ids.size)
         ids = self.live_ids()
         if ids.size == 0:
             raise ValueError(
                 "cannot compact an index with zero live rows; upsert "
                 "before compacting")
-        raw = self._gather_raw(ids)
-        prepared = prepare_operand(raw, self.measure)
         n_shards = min(n_shards, ids.size)
-        assignment = plan_shard_assignment(prepared.csr, n_shards,
-                                           placement)
-        if devices is not None:
-            specs = _resolve_devices(devices, n_shards)
-        elif n_shards == self._base.n_shards:
-            specs = [s.device for s in self._base.shards]
-        else:
-            specs = _resolve_devices(self._base.shards[0].device, n_shards)
+        if devices is None:
+            devices = ([s.device for s in self._base.shards]
+                       if n_shards == self._base.n_shards
+                       else self._base.shards[0].device)
+        raw = self._gather_raw(ids)
+        index = ShardedIndex._from_prepared(
+            prepare_operand(raw, self.measure), ids, self.measure,
+            n_shards=n_shards, placement=placement, engine=self.engine,
+            devices=devices, batch_rows=self.batch_rows,
+            memory_budget_bytes=self.memory_budget_bytes,
+            n_replicas=self.n_replicas)
         self._pending = _PendingCompaction(
-            reason=reason, ids=ids, raw=raw, prepared=prepared,
-            assignment=assignment, specs=specs, placement=placement,
-            n_shards=n_shards, started_ms=self._now_ms,
-            absorbed_rows=absorbed_rows,
-            absorbed_tombstones=absorbed_tombstones)
+            reason=reason, ids=ids, raw=raw, index=index,
+            started_ms=self._now_ms, absorbed_rows=len(self._mem_latest),
+            absorbed_tombstones=len(self._mem_tombstones))
+        self._seal_memtable()
         return None
 
     def _completed(self, report: CompactionReport, span=NULL_SPAN,
@@ -870,24 +821,24 @@ class MutableIndex:
                         recovery: RecoveryPolicy) -> CompactionReport:
         pending = self._pending
         resumed_from = pending.watermark
+        n_shards = pending.index.n_shards
         span = self.tracer.span(
             "mutable.compact", "compact", generation=self._generation + 1,
-            reason=pending.reason, n_shards=pending.n_shards,
+            reason=pending.reason, n_shards=n_shards,
             resumed=resumed, watermark=resumed_from)
         seconds_this_call = 0.0
         with span:
-            while pending.watermark < pending.n_shards:
-                shard_index = pending.watermark
-                shard, seconds = self._build_one_shard(
-                    pending, shard_index, fault_injector, recovery, span,
+            while pending.watermark < n_shards:
+                seconds = self._build_one_shard(
+                    pending, fault_injector, recovery, span,
                     seconds_this_call)
-                pending.built.append(shard)
+                pending.watermark += 1
                 pending.simulated_seconds += seconds
                 seconds_this_call += seconds
             self._swap_generation(pending)
         return self._completed(CompactionReport(
             generation=self._generation, reason=pending.reason,
-            n_shards=pending.n_shards, placement=pending.placement,
+            n_shards=n_shards, placement=pending.index.placement,
             live_rows=int(pending.ids.size),
             absorbed_rows=pending.absorbed_rows,
             absorbed_tombstones=pending.absorbed_tombstones,
@@ -898,11 +849,13 @@ class MutableIndex:
             fault_log=tuple(pending.fault_log)), span, seconds_this_call)
 
     def _build_one_shard(self, pending: _PendingCompaction,
-                         shard_index: int,
                          fault_injector: Optional[FaultInjector],
                          recovery: RecoveryPolicy, span,
-                         seconds_before: float) -> Tuple[Shard, float]:
-        """Build one new-generation shard under the retry ladder."""
+                         seconds_before: float) -> float:
+        """Charge the build of the next generation's shard at the
+        watermark under the retry ladder; returns its simulated
+        seconds."""
+        shard_index = pending.watermark
         seconds = 0.0
         attempt = 0
 
@@ -937,9 +890,9 @@ class MutableIndex:
                 err = CompactionFaultError(
                     f"compaction toward generation {self._generation + 1} "
                     f"aborted building shard {shard_index} "
-                    f"(watermark {pending.watermark}/{pending.n_shards}): "
+                    f"(watermark {shard_index}/{pending.index.n_shards}): "
                     f"{exc}",
-                    watermark=pending.watermark,
+                    watermark=shard_index,
                     fault_log=tuple(pending.fault_log), cause=exc)
                 self._obs.record(err, span=span,
                                  sim_seconds=seconds_before + seconds)
@@ -950,23 +903,13 @@ class MutableIndex:
             self._obs.record(log(fault.kind, "retried", backoff),
                              site="compaction")
             attempt += 1
-        positions = pending.assignment[shard_index]
-        shard = Shard(shard_id=shard_index,
-                      global_ids=pending.ids[positions],
-                      operand=pending.prepared.take_rows(positions),
-                      device=pending.specs[shard_index])
-        seconds += (_BUILD_SECONDS_PER_ROW * shard.n_rows
-                    + _BUILD_SECONDS_PER_NNZ * shard.nnz)
-        return shard, seconds
+        shard = pending.index.shards[shard_index]
+        return seconds + (_BUILD_SECONDS_PER_ROW * shard.n_rows
+                          + _BUILD_SECONDS_PER_NNZ * shard.nnz)
 
     def _swap_generation(self, pending: _PendingCompaction) -> None:
-        """Atomically promote the built shards to the new base."""
-        self._base = ShardedIndex(
-            pending.built, self.measure, engine=self.engine,
-            placement=pending.placement,
-            batch_rows=self._base.batch_rows,
-            memory_budget_bytes=self._base.memory_budget_bytes,
-            n_replicas=self._base.n_replicas)
+        """Atomically promote the next generation to the new base."""
+        self._base = pending.index
         self._base_ids = pending.ids
         self._base_raw = pending.raw
         self._sealed = None
@@ -978,7 +921,8 @@ class MutableIndex:
 
 
 def _check_ids(ids: np.ndarray) -> None:
-    """Validate a sorted id array: 1-D, unique, within [0, SUPPRESSED_ID)."""
+    """Validate an id array: 1-D, strictly ascending, within
+    [0, SUPPRESSED_ID)."""
     if ids.ndim != 1:
         raise ValueError("ids must be 1-D")
     if ids.size == 0:
@@ -987,23 +931,5 @@ def _check_ids(ids: np.ndarray) -> None:
         raise ValueError(
             f"ids must be within [0, {int(SUPPRESSED_ID)}), got range "
             f"[{ids.min()}, {ids.max()}]")
-    if ids.size > 1 and (np.diff(ids) == 0).any():
-        raise ValueError("ids contain duplicates")
-
-
-def _build_base(raw: CSRMatrix, ids: np.ndarray, measure: DistanceMeasure,
-                *, n_shards: int, placement: str, engine: str, devices,
-                batch_rows: int, memory_budget_bytes: Optional[int],
-                n_replicas: int) -> ShardedIndex:
-    """A base generation over raw rows carrying explicit global ids."""
-    prepared = prepare_operand(raw, measure)
-    assignment = plan_shard_assignment(prepared.csr, n_shards, placement)
-    specs = _resolve_devices(devices, n_shards)
-    shards = [Shard(shard_id=i, global_ids=ids[positions],
-                    operand=prepared.take_rows(positions),
-                    device=specs[i])
-              for i, positions in enumerate(assignment)]
-    return ShardedIndex(shards, measure, engine=engine, placement=placement,
-                        batch_rows=batch_rows,
-                        memory_budget_bytes=memory_budget_bytes,
-                        n_replicas=n_replicas)
+    if ids.size > 1 and (np.diff(ids) <= 0).any():
+        raise ValueError("ids contain duplicates or are not ascending")

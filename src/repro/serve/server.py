@@ -47,9 +47,8 @@ and p50/p99 spread all emerge deterministically from the configuration.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -71,7 +70,7 @@ from repro.obs.telemetry import (
 from repro.obs.tracer import trace_context
 from repro.plan.consumers import TopKConsumer
 from repro.plan.executor import PlanExecutor
-from repro.plan.pairwise_plan import PreparedOperand
+from repro.plan.pairwise_plan import PreparedOperand, stack_operands
 from repro.serve.admission import AdmissionController
 from repro.serve.backpressure import BackpressureController
 from repro.serve.replication import ReplicaRouter, ReplicaState
@@ -85,8 +84,7 @@ from repro.serve.request import (
     ShedReport,
 )
 from repro.serve.scheduler import MicroBatch, QueryScheduler
-from repro.serve.sharding import ShardedIndex
-from repro.sparse.ops import vstack
+from repro.serve.sharding import ShardedIndex, fan_out
 
 __all__ = ["Server", "LATENCY_BUCKETS_MS"]
 
@@ -335,7 +333,7 @@ class Server:
 
     def _execute_batch(self, batch: MicroBatch) -> None:
         """Fan a closed micro-batch across the shards and resolve futures."""
-        queries = _stack_queries([r.queries for r in batch.requests])
+        queries = stack_operands([r.queries for r in batch.requests])
         k = min(batch.k_max, self.index.n_rows)
 
         # Batch-scoped spans and events carry the batch's own trace id
@@ -398,18 +396,10 @@ class Server:
         """Run every shard (possibly concurrently); collect reports,
         ``(distances, global_indices)`` for the surviving shards, and the
         replica each surviving shard ran on."""
-        n_shards = self.index.n_shards
-        if self.n_workers > 1 and n_shards > 1:
-            with ThreadPoolExecutor(
-                    max_workers=min(self.n_workers, n_shards)) as pool:
-                futures = [pool.submit(self._run_shard, i, queries, k,
-                                       dispatch_ms, batch_span)
-                           for i in range(n_shards)]
-                outcomes = [f.result() for f in futures]
-        else:
-            outcomes = [self._run_shard(i, queries, k, dispatch_ms,
-                                        batch_span)
-                        for i in range(n_shards)]
+        outcomes = fan_out(
+            lambda i: self._run_shard(i, queries, k, dispatch_ms,
+                                      batch_span),
+            range(self.index.n_shards), self.n_workers)
         reports = [rep for rep, _, _ in outcomes]
         parts = [part for _, part, _ in outcomes if part is not None]
         replicas = [state for _, _, state in outcomes if state is not None]
@@ -422,12 +412,13 @@ class Server:
                               Optional[ReplicaState]]:
         """One shard's plan across its replica pool.
 
-        Watermark-resume on unabsorbed faults; when a replica exhausts
-        its resume ladder it is marked unhealthy and the *same consumer*
-        resumes from the *same watermark* on the next live sibling —
-        replicas are bit-identical, so the merged top-k cannot tell a
-        failover happened. Returns a failed report only when the pool is
-        empty.
+        Each replica runs the escalating resume ladder: an unabsorbed
+        fault resumes the plan from its watermark with a larger retry
+        budget, up to ``max_shard_resumes`` times. A replica that exhausts
+        the ladder is marked unhealthy and the *same consumer* resumes
+        from the *same watermark* on the next live sibling — replicas are
+        bit-identical, so the merged top-k cannot tell a failover
+        happened. Returns a failed report only when the pool is empty.
         """
         shard = self.index.shards[shard_id]
         if shard.n_rows == 0:
@@ -448,25 +439,40 @@ class Server:
             failed_replicas: list = []
             total_resumes = 0
             resume_from = 0
-            while True:
+            report = None
+            while report is None:
                 self.router.run_probes(shard_id, dispatch_ms)
                 state = self.router.pick(shard_id, dispatch_ms)
                 if state is None:
                     break
                 injector = self.fault_injectors.get(
                     (shard_id, state.replica_id))
-                outcome = self._run_replica(
-                    plan, consumer, injector, resume_from, span)
-                if not isinstance(outcome, _ReplicaFailure):
-                    break
-                fault_log.extend(outcome.fault_log)
-                total_resumes += outcome.n_resumes
-                resume_from = outcome.watermark
-                self.router.mark_unhealthy(state, dispatch_ms)
-                failed_replicas.append(state.replica_id)
-                self._obs.record(outcome, span=span,
-                                 replica_id=state.replica_id)
-            if state is None:
+                for resumes in range(self.max_shard_resumes + 1):
+                    # Escalate the retry budget on every resume: the
+                    # executor gave up under the base policy, so replaying
+                    # the same budget from the watermark could fail
+                    # identically forever.
+                    recovery = (self.recovery if resumes == 0 else
+                                replace(self.recovery, max_retries=(
+                                    self.recovery.max_retries + resumes)))
+                    executor = PlanExecutor(
+                        plan, recovery=recovery, fault_injector=injector,
+                        tracer=self.tracer, metrics=self.metrics)
+                    try:
+                        report = executor.execute(consumer,
+                                                  resume_from=resume_from)
+                        break
+                    except ExecutionFaultError as err:
+                        fault_log.extend(err.fault_log)
+                        resume_from = max(resume_from, err.watermark)
+                        self._obs.record(err, span=span)
+                total_resumes += resumes
+                if report is None:
+                    self.router.mark_unhealthy(state, dispatch_ms)
+                    failed_replicas.append(state.replica_id)
+                    self._obs.record(state, span=span,
+                                     watermark=resume_from)
+            if report is None:
                 part = None
                 shard_report = ShardReport(
                     shard_id=shard_id, simulated_seconds=0.0,
@@ -474,9 +480,7 @@ class Server:
                     failed=True, fault_log=tuple(fault_log), replica_id=-1,
                     failed_replicas=tuple(failed_replicas))
             else:
-                report, n_resumes = outcome
                 fault_log.extend(report.fault_log)
-                total_resumes += n_resumes
                 distances, local_idx = report.value
                 part = self.index.filter_shard_topk(
                     shard_id, distances, shard.global_ids[local_idx])
@@ -494,45 +498,6 @@ class Server:
                             key=lambda r: r.tile_index)))
             self._obs.record(shard_report, span=span)
         return shard_report, part, state
-
-    def _run_replica(self, plan, consumer, injector, resume_from: int,
-                     span):
-        """Execute one replica with the escalating resume ladder.
-
-        Returns ``(PlanExecutionReport, n_resumes)`` on success or a
-        :class:`_ReplicaFailure` once ``max_shard_resumes`` watermark
-        resumes have been exhausted on this replica.
-        """
-        fault_log: list = []
-        resumes = 0
-        while True:
-            # Escalate the retry budget on every resume: the executor
-            # gave up under the base policy, so replaying the same
-            # budget from the watermark could fail identically forever.
-            recovery = (self.recovery if resumes == 0 else
-                        replace(self.recovery,
-                                max_retries=(self.recovery.max_retries
-                                             + resumes)))
-            executor = PlanExecutor(
-                plan, recovery=recovery, fault_injector=injector,
-                tracer=self.tracer, metrics=self.metrics)
-            try:
-                report = executor.execute(consumer,
-                                          resume_from=resume_from)
-            except ExecutionFaultError as err:
-                fault_log.extend(err.fault_log)
-                resume_from = max(resume_from, err.watermark)
-                self._obs.record(err, span=span)
-                if resumes >= self.max_shard_resumes:
-                    return _ReplicaFailure(
-                        watermark=resume_from, n_resumes=resumes,
-                        fault_log=tuple(fault_log))
-                resumes += 1
-                continue
-            if fault_log:
-                report = replace(
-                    report, fault_log=tuple(fault_log) + report.fault_log)
-            return report, resumes
 
     # ------------------------------------------------------------------
     # resolution + accounting
@@ -566,25 +531,3 @@ class Server:
                     report=req_report))
             self._resolved.append(future)
             row += request.n_rows
-
-
-class _ReplicaFailure(NamedTuple):
-    """A replica exhausted its resume ladder; carries the watermark the
-    sibling should resume from and the fault log accrued so far."""
-
-    watermark: int
-    n_resumes: int
-    fault_log: tuple
-
-
-def _stack_queries(blocks: List[PreparedOperand]) -> PreparedOperand:
-    """Vertically stack prepared query blocks (values + norms)."""
-    if len(blocks) == 1:
-        return blocks[0]
-    csr = vstack([b.csr for b in blocks])
-    norm_kinds = sorted(blocks[0].norms or ())
-    norms = None
-    if norm_kinds:
-        norms = {kind: np.concatenate([b.norms[kind] for b in blocks])
-                 for kind in norm_kinds}
-    return PreparedOperand(csr, blocks[0].measure_name, norms)

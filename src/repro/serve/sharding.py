@@ -18,22 +18,29 @@ shard-local tie-breaks agree with global tie-breaks; the cross-shard merge
 
 ``save()``/``load()`` snapshot the prepared state (values, norms, shard
 assignment, config) into a single ``.npz`` so an index is built once and
-served forever.
+served forever. The layout fields are written by :func:`index_config` and
+read back by :func:`read_index_config`, which the mutable index's
+snapshots share.
 """
 
 from __future__ import annotations
 
 import json
 import zipfile
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.distances import DistanceMeasure, make_distance
 from repro.datasets.degree import degree_balanced_shards
 from repro.dist.partition import TOPK_PAIR_BYTES, operand_panel_nbytes
-from repro.errors import ShapeMismatchError, SnapshotFormatError
+from repro.errors import (
+    DeviceConfigError,
+    ShapeMismatchError,
+    SnapshotFormatError,
+)
 from repro.gpusim.interconnect import get_interconnect, simulate_transfer
 from repro.gpusim.specs import DeviceSpec, get_device
 from repro.neighbors.topk import TopKAccumulator
@@ -45,12 +52,13 @@ from repro.plan.pairwise_plan import (
     PreparedOperand,
     build_pairwise_plan,
     prepare_operand,
+    stack_operands,
 )
 from repro.sparse.convert import as_csr
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["Shard", "ShardedIndex", "PLACEMENTS", "plan_shard_assignment",
-           "DistributedQueryReport"]
+           "DistributedQueryReport", "fan_out"]
 
 #: Supported row-placement strategies.
 PLACEMENTS = ("contiguous", "degree_balanced")
@@ -116,9 +124,9 @@ def plan_shard_assignment(csr: CSRMatrix, n_shards: int,
 
     ``"contiguous"`` cuts near-equal row bands; ``"degree_balanced"``
     assigns rows greedily so each shard carries a near-equal nnz load.
-    Shared by :meth:`ShardedIndex.build` and the mutable index's
-    compaction, so a compacted generation lands on exactly the placement a
-    from-scratch build would choose.
+    Every shard cut goes through it (see :meth:`ShardedIndex.build`), so a
+    compacted or restored mutable generation lands on exactly the
+    placement a from-scratch build would choose.
     """
     if n_shards <= 0:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -137,6 +145,16 @@ def plan_shard_assignment(csr: CSRMatrix, n_shards: int,
         return [np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
                 for i in range(n_shards)]
     return degree_balanced_shards(csr, n_shards)
+
+
+def fan_out(fn: Callable, items: Sequence, n_workers: int) -> list:
+    """``[fn(item) for item in items]``, on up to ``n_workers`` threads
+    when there is more than one item; results keep the order of
+    ``items``."""
+    if n_workers <= 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(n_workers, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 def _resolve_devices(devices, n_shards: int) -> List[DeviceSpec]:
@@ -211,21 +229,31 @@ class ShardedIndex:
         sibling copies of each shard the serving layer may route to (the
         :class:`~repro.serve.Server` fails over between them).
         """
-        if n_shards <= 0:
-            raise ValueError(f"n_shards must be positive, got {n_shards}")
-        if placement not in PLACEMENTS:
-            raise ValueError(f"unknown placement {placement!r}; expected "
-                             f"one of {PLACEMENTS}")
         measure = (metric if isinstance(metric, DistanceMeasure)
                    else make_distance(metric, **(metric_params or {})))
         prepared = prepare_operand(as_csr(x), measure)
+        return cls._from_prepared(
+            prepared, np.arange(prepared.n_rows, dtype=np.int64), measure,
+            n_shards=n_shards, placement=placement, engine=engine,
+            devices=devices, batch_rows=batch_rows,
+            memory_budget_bytes=memory_budget_bytes, n_replicas=n_replicas)
+
+    @classmethod
+    def _from_prepared(cls, prepared: PreparedOperand, ids: np.ndarray,
+                       measure: DistanceMeasure, *, n_shards: int,
+                       placement: str, engine: str, devices,
+                       batch_rows: int, memory_budget_bytes: Optional[int],
+                       n_replicas: int) -> "ShardedIndex":
+        """Cut a prepared corpus whose row ``i`` has global id ``ids[i]``
+        (ascending) into ``n_shards`` shards under ``placement``: the one
+        shard constructor behind :meth:`build`, the mutable index's build
+        and restore, and its compaction's next generation."""
         assignment = plan_shard_assignment(prepared.csr, n_shards, placement)
         specs = _resolve_devices(devices, n_shards)
-        shards = [
-            Shard(shard_id=i, global_ids=ids,
-                  operand=prepared.take_rows(ids), device=specs[i])
-            for i, ids in enumerate(assignment)
-        ]
+        shards = [Shard(shard_id=i, global_ids=ids[positions],
+                        operand=prepared.take_rows(positions),
+                        device=specs[i])
+                  for i, positions in enumerate(assignment)]
         return cls(shards, measure, engine=engine, placement=placement,
                    batch_rows=batch_rows,
                    memory_budget_bytes=memory_budget_bytes,
@@ -355,18 +383,9 @@ class ShardedIndex:
         queries = self.prepare_queries(x)
         k = min(int(n_neighbors), self.n_rows)
         live = [i for i, shard in enumerate(self.shards) if shard.n_rows]
-        if n_workers > 1 and len(live) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                    max_workers=min(n_workers, len(live))) as pool:
-                futures = [pool.submit(self.query_shard, i, queries, k,
-                                       **executor_kwargs)
-                           for i in live]
-                parts = [f.result() for f in futures]
-        else:
-            parts = [self.query_shard(i, queries, k, **executor_kwargs)
-                     for i in live]
+        parts = fan_out(
+            lambda i: self.query_shard(i, queries, k, **executor_kwargs),
+            live, n_workers)
         return ShardedIndex.merge_shard_topk(
             [(d, g) for d, g, _ in parts], queries.n_rows, k)
 
@@ -437,22 +456,10 @@ class ShardedIndex:
 
         # Compute: one single-device fan-out cell per (live shard, slice).
         cells = [(r, c) for r in live for c in range(cols)]
-        if n_workers > 1 and len(cells) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(
-                    max_workers=min(n_workers, len(cells))) as pool:
-                futures = {
-                    cell: pool.submit(self.query_shard, cell[0],
-                                      slice_ops[cell[1]], k,
-                                      **executor_kwargs)
-                    for cell in cells}
-                parts = {cell: f.result() for cell, f in futures.items()}
-        else:
-            parts = {
-                (r, c): self.query_shard(r, slice_ops[c], k,
-                                         **executor_kwargs)
-                for r, c in cells}
+        parts = dict(zip(cells, fan_out(
+            lambda cell: self.query_shard(cell[0], slice_ops[cell[1]], k,
+                                          **executor_kwargs),
+            cells, n_workers)))
         compute_seconds = []
         cell_reports: Dict[Tuple[int, int], PlanExecutionReport] = {}
         for r, c in cells:
@@ -503,22 +510,13 @@ class ShardedIndex:
         measure transform, and every norm reduction — build once, serve
         forever.
         """
-        full = _restack_operand(self.shards)
-        meta = {
-            "version": SNAPSHOT_VERSION,
-            "metric": self.measure.name,
-            "metric_params": dict(self.measure.params),
-            "engine": self.engine,
-            "placement": self.placement,
-            "batch_rows": self.batch_rows,
-            "memory_budget_bytes": self.memory_budget_bytes,
-            "n_shards": self.n_shards,
-            "n_replicas": self.n_replicas,
-            "n_rows": self.n_rows,
-            "n_cols": self.n_cols,
-            "devices": [s.device.name for s in self.shards],
-            "norm_kinds": sorted(full.norms or ()),
-        }
+        order = np.argsort(np.concatenate([s.global_ids
+                                           for s in self.shards]))
+        full = stack_operands([s.operand for s in self.shards]
+                              ).take_rows(order)
+        meta = {"version": SNAPSHOT_VERSION,
+                **index_config(self, self.n_rows),
+                "norm_kinds": sorted(full.norms or ())}
         arrays = {
             "meta": np.frombuffer(
                 json.dumps(meta).encode("utf-8"), dtype=np.uint8),
@@ -546,35 +544,13 @@ class ShardedIndex:
         arrays = load_snapshot_arrays(path)
         meta = parse_snapshot_meta(arrays, path,
                                    expected_version=SNAPSHOT_VERSION)
-        metric = require_meta_field(meta, "metric", str, path)
-        metric_params = require_meta_field(meta, "metric_params", dict, path)
-        engine = require_meta_field(meta, "engine", str, path)
-        placement = require_meta_field(meta, "placement", str, path)
-        batch_rows = require_meta_field(meta, "batch_rows", int, path)
-        memory_budget = require_meta_field(
-            meta, "memory_budget_bytes", (int, type(None)), path)
-        n_shards = require_meta_field(meta, "n_shards", int, path)
-        n_rows = require_meta_field(meta, "n_rows", int, path)
-        n_cols = require_meta_field(meta, "n_cols", int, path)
-        devices = require_meta_field(meta, "devices", list, path)
+        # Snapshots written before replication carry no n_replicas.
+        meta.setdefault("n_replicas", 1)
+        measure, n_rows, n_cols, layout = read_index_config(meta, path)
+        # The shards come from the stored id arrays, one per device.
+        devices = layout.pop("devices")
+        del layout["n_shards"]
         norm_kinds = require_meta_field(meta, "norm_kinds", list, path)
-        n_replicas = require_meta_field(meta, "n_replicas", int, path,
-                                        default=1)
-        if n_shards <= 0:
-            raise SnapshotFormatError(
-                f"snapshot {path!r} field 'n_shards' must be positive, "
-                f"got {n_shards}")
-        if len(devices) != n_shards:
-            raise SnapshotFormatError(
-                f"snapshot {path!r} field 'devices' lists {len(devices)} "
-                f"entries for {n_shards} shards")
-        try:
-            measure = make_distance(metric, **metric_params)
-        except Exception as exc:
-            raise SnapshotFormatError(
-                f"snapshot {path!r} field 'metric' names an unusable "
-                f"measure {metric!r}: {exc}") from exc
-
         csr = build_snapshot_csr(arrays, n_rows, n_cols, path)
         norms: Optional[Dict[str, np.ndarray]] = None
         if norm_kinds:
@@ -594,7 +570,7 @@ class ShardedIndex:
 
         shards = []
         seen_ids = []
-        for i in range(n_shards):
+        for i, device in enumerate(devices):
             key = f"shard_{i}_ids"
             if key not in arrays:
                 raise SnapshotFormatError(
@@ -608,12 +584,6 @@ class ShardedIndex:
                     f"snapshot {path!r} array {key!r} has row ids outside "
                     f"[0, {n_rows})")
             seen_ids.append(ids)
-            try:
-                device = get_device(str(devices[i]))
-            except Exception as exc:
-                raise SnapshotFormatError(
-                    f"snapshot {path!r} field 'devices[{i}]' names an "
-                    f"unknown device {devices[i]!r}") from exc
             shards.append(Shard(shard_id=i, global_ids=ids,
                                 operand=prepared.take_rows(ids),
                                 device=device))
@@ -623,10 +593,82 @@ class ShardedIndex:
             raise SnapshotFormatError(
                 f"snapshot {path!r} shard id arrays do not partition the "
                 f"{n_rows} rows (field 'shard_*_ids')")
-        return cls(shards, measure, engine=engine, placement=placement,
-                   batch_rows=batch_rows,
-                   memory_budget_bytes=memory_budget,
-                   n_replicas=n_replicas)
+        return cls(shards, measure, **layout)
+
+
+def index_config(index: ShardedIndex, n_rows: int) -> dict:
+    """The layout fields the frozen and the mutable snapshot share.
+
+    ``n_rows`` is the row count the file holds (the index's rows for a
+    frozen snapshot, the live rows for a mutable one). Read back by
+    :func:`read_index_config`.
+    """
+    return {
+        "metric": index.measure.name,
+        "metric_params": dict(index.measure.params),
+        "engine": index.engine,
+        "placement": index.placement,
+        "batch_rows": index.batch_rows,
+        "memory_budget_bytes": index.memory_budget_bytes,
+        "n_shards": index.n_shards,
+        "n_replicas": index.n_replicas,
+        "n_rows": int(n_rows),
+        "n_cols": index.n_cols,
+        "devices": [s.device.name for s in index.shards],
+    }
+
+
+def read_index_config(meta: dict, path,
+                      ) -> Tuple[DistanceMeasure, int, int, dict]:
+    """Read and check the fields :func:`index_config` wrote.
+
+    Returns ``(measure, n_rows, n_cols, layout)``, where ``layout`` holds
+    the keyword arguments of :meth:`ShardedIndex._from_prepared` with
+    ``devices`` resolved to one spec per shard. Every missing, mistyped or
+    out-of-range field raises :class:`~repro.errors.SnapshotFormatError`
+    naming it.
+    """
+    def read(key, types):
+        return require_meta_field(meta, key, types, path)
+
+    def bad(key, what):
+        return SnapshotFormatError(f"snapshot {path!r} field {key!r} {what}")
+
+    metric = read("metric", str)
+    metric_params = read("metric_params", dict)
+    layout = {"engine": read("engine", str),
+              "placement": read("placement", str),
+              "batch_rows": read("batch_rows", int),
+              "memory_budget_bytes": read("memory_budget_bytes",
+                                          (int, type(None))),
+              "n_shards": read("n_shards", int),
+              "n_replicas": read("n_replicas", int)}
+    n_rows = read("n_rows", int)
+    n_cols = read("n_cols", int)
+    names = read("devices", list)
+    if layout["placement"] not in PLACEMENTS:
+        raise bad("placement", f"is {layout['placement']!r}; expected one "
+                               f"of {PLACEMENTS}")
+    for key in ("n_shards", "n_replicas"):
+        if layout[key] <= 0:
+            raise bad(key, f"must be positive, got {layout[key]}")
+    if len(names) != layout["n_shards"]:
+        raise bad("devices", f"lists {len(names)} entries for "
+                             f"{layout['n_shards']} shards")
+    devices = []
+    for i, name in enumerate(names):
+        try:
+            devices.append(get_device(str(name)))
+        except DeviceConfigError as exc:
+            raise bad(f"devices[{i}]",
+                      f"names an unknown device {name!r}") from exc
+    layout["devices"] = devices
+    try:
+        measure = make_distance(metric, **metric_params)
+    except Exception as exc:
+        raise bad("metric", f"names an unusable measure {metric!r}: "
+                            f"{exc}") from exc
+    return measure, n_rows, n_cols, layout
 
 
 def load_snapshot_arrays(path) -> Dict[str, np.ndarray]:
@@ -710,20 +752,3 @@ def build_snapshot_csr(arrays: Dict[str, np.ndarray], n_rows: int,
         raise SnapshotFormatError(
             f"snapshot {path!r} CSR arrays are inconsistent: {exc}"
         ) from exc
-
-
-def _restack_operand(shards: Sequence[Shard]) -> PreparedOperand:
-    """Reassemble the full prepared operand (global row order) from shards."""
-    from repro.sparse.ops import vstack
-
-    order = np.argsort(np.concatenate([s.global_ids for s in shards]))
-    stacked = vstack([s.operand.csr for s in shards]).take_rows(order)
-    norm_kinds = sorted((shards[0].operand.norms or {}))
-    norms = None
-    if norm_kinds:
-        norms = {
-            kind: np.concatenate(
-                [s.operand.norms[kind] for s in shards])[order]
-            for kind in norm_kinds
-        }
-    return PreparedOperand(stacked, shards[0].operand.measure_name, norms)

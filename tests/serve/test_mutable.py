@@ -180,6 +180,21 @@ class TestCompaction:
         assert report.completed_ms > report.started_ms
         assert report.started_ms == 10.0
 
+    def test_refused_compaction_keeps_the_delta(self, rng):
+        """A compaction refused before it starts (no live rows, unknown
+        placement) leaves every tombstone and upsert where it was."""
+        index = MutableIndex.build(random_dense(rng, 4, N_COLS, 0.5),
+                                   metric="euclidean", n_shards=1)
+        index.delete(np.arange(4))
+        with pytest.raises(ValueError, match="zero live rows"):
+            index.compact()
+        index.upsert([9], random_dense(rng, 1, N_COLS, 0.5))
+        with pytest.raises(ValueError, match="placement"):
+            index.compact(placement="random")
+        assert not index.pending_compaction
+        index.compact()
+        np.testing.assert_array_equal(index.live_ids(), [9])
+
     @pytest.mark.parametrize("case", ["plain", "resumed", "retarget"])
     def test_lands_on_fresh_build_layout(self, rng, case):
         """A compacted base is shard for shard the base a fresh build of
@@ -321,6 +336,27 @@ class TestSnapshots:
         arrays["ids"] = arrays["ids"][:-2]
         np.savez(path.with_suffix(""), **arrays)
         with pytest.raises(SnapshotFormatError, match="ids"):
+            MutableIndex.restore(tmp_path)
+
+    @pytest.mark.parametrize("field, mutate", [
+        ("devices", lambda meta, arrays: meta.update(
+            devices=["no-such-gpu"] * meta["n_shards"])),
+        ("n_shards", lambda meta, arrays: meta.update(n_shards=0,
+                                                      devices=[])),
+        ("placement", lambda meta, arrays: meta.update(placement="random")),
+        ("ids", lambda meta, arrays: arrays.update(
+            ids=arrays["ids"][::-1].copy())),
+        ("n_replicas", lambda meta, arrays: meta.pop("n_replicas")),
+    ], ids=["devices", "n_shards", "placement", "ids", "no-n_replicas"])
+    def test_out_of_range_field_named(self, index, tmp_path, field, mutate):
+        path = index.snapshot(tmp_path)
+        arrays = dict(np.load(path, allow_pickle=False))
+        meta = json.loads(bytes(arrays["meta"]).decode("utf-8"))
+        mutate(meta, arrays)
+        arrays["meta"] = np.frombuffer(
+            json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        np.savez(path.with_suffix(""), **arrays)
+        with pytest.raises(SnapshotFormatError, match=field):
             MutableIndex.restore(tmp_path)
 
 

@@ -335,6 +335,18 @@ class TestSnapshot:
         with pytest.raises(SnapshotFormatError, match="devices"):
             ShardedIndex.load(saved)
 
+    @pytest.mark.parametrize("field, value", [("placement", "random"),
+                                              ("n_replicas", 0)])
+    def test_out_of_range_field_named(self, saved, field, value):
+        self._rewrite(saved, mutate_meta=lambda m: m.update({field: value}))
+        with pytest.raises(SnapshotFormatError, match=field):
+            ShardedIndex.load(saved)
+
+    def test_snapshot_without_replicas_loads_one(self, saved):
+        """Snapshots written before replication carry no n_replicas."""
+        self._rewrite(saved, mutate_meta=lambda m: m.pop("n_replicas"))
+        assert ShardedIndex.load(saved).n_replicas == 1
+
     def test_missing_norm_array_named(self, saved):
         def corrupt(arrays):
             victim = next(n for n in arrays if n.startswith("norm_"))
