@@ -18,7 +18,7 @@ arithmetic dot product. Its costs, per the paper:
   the non-trivial metrics falls back to :class:`NaiveCsrKernel`.
 
 Being a tuned dense-ish pipeline, its per-intersection arithmetic is cheap
-and its reads coalesce reasonably well; both knobs are explicit parameters.
+and its reads coalesce reasonably well; both are class constants.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.core.semiring import Semiring
 from repro.errors import SemiringError
 from repro.gpusim.executor import Launch, LaunchSchedule
 from repro.gpusim.memory import coalesced_transactions, uncoalesced_transactions
-from repro.gpusim.specs import DeviceSpec, VOLTA_V100
 from repro.gpusim.stats import KernelStats
 from repro.kernels import register_engine
 from repro.kernels.base import PairwiseKernel
@@ -63,15 +62,12 @@ class CsrGemmKernel(PairwiseKernel):
     #: identical even when computed on [much sparser] graphs" — i.e. it is
     #: effectively a constant floor, not input-proportional.
     WORKSPACE_FLOOR_BYTES = 384 * 1024 * 1024
-
-    def __init__(self, spec: DeviceSpec = VOLTA_V100, *,
-                 read_elements_per_transaction: float = 24.0,
-                 flops_per_intersection: float = 2.0,
-                 n_internal_kernels: int = 4):
-        super().__init__(spec)
-        self.read_elements_per_transaction = float(read_elements_per_transaction)
-        self.flops_per_intersection = float(flops_per_intersection)
-        self.n_internal_kernels = int(n_internal_kernels)
+    #: B^T elements one partially coalesced gather transaction delivers
+    READ_ELEMENTS_PER_TRANSACTION = 24.0
+    #: one FMA + one accumulator update per intersecting element
+    FLOPS_PER_INTERSECTION = 2.0
+    #: kernels in the internal pipeline (one priced, the rest launch-only)
+    N_INTERNAL_KERNELS = 4
 
     @property
     def last_output_density(self):
@@ -107,7 +103,7 @@ class CsrGemmKernel(PairwiseKernel):
             (Launch(stats, grid_blocks=max(1, a.n_rows), block_threads=256,
                     smem_per_block=48 * 1024, regs_per_thread=48,
                     profile=profile),),
-            unpriced=KernelStats(kernel_launches=self.n_internal_kernels - 1))
+            unpriced=KernelStats(kernel_launches=self.N_INTERNAL_KERNELS - 1))
 
     # ------------------------------------------------------------------
     def _count(self, a: CSRMatrix, b: CSRMatrix, out_nnz: int) -> KernelStats:
@@ -125,8 +121,9 @@ class CsrGemmKernel(PairwiseKernel):
         # Gustavson-style multiply: gather B^T rows for each nonzero column
         # of A; partially coalesced reads, one FMA + one accumulator update
         # per intersecting element.
-        stats.gmem_transactions += intersections / self.read_elements_per_transaction
-        stats.alu_ops += intersections * self.flops_per_intersection
+        stats.gmem_transactions += (intersections
+                                    / self.READ_ELEMENTS_PER_TRANSACTION)
+        stats.alu_ops += intersections * self.FLOPS_PER_INTERSECTION
         stats.smem_accesses += intersections
 
         # Sparse output materialization: two arrays of out_nnz (indices +

@@ -68,8 +68,6 @@ def pairwise_distances(
     n_workers: int = 1,
     recovery: Optional[RecoveryPolicy] = None,
     fault_injector: Optional[FaultInjector] = None,
-    index_width: str = "auto",
-    tuning_feedback=None,
     trace=None,
     metrics: Optional[MetricsRegistry] = None,
     **metric_params,
@@ -118,13 +116,6 @@ def pairwise_distances(
     fault_injector:
         Optional :class:`~repro.faults.FaultInjector` replaying a seeded
         fault schedule into the execution (tests and chaos benches).
-    index_width:
-        Device index-width policy (``"auto"``/``"int32"``/``"int64"``); an
-        explicit ``"int32"`` the operands cannot fit raises
-        :class:`~repro.errors.IndexWidthError` at plan time.
-    tuning_feedback:
-        Optional prior-run ``Profile.roofline()`` attribution (object or
-        ``as_dict()`` payload) fed into the ``engine="auto"`` calibration.
     trace:
         ``None`` (default, zero overhead), a :class:`~repro.obs.Tracer` to
         record spans into, or a path — the call then writes a Chrome
@@ -140,8 +131,6 @@ def pairwise_distances(
     tracer, trace_path = resolve_trace(trace)
     plan = build_pairwise_plan(x, y, metric, engine=engine, device=device,
                                memory_budget_bytes=memory_budget_bytes,
-                               index_width=index_width,
-                               tuning_feedback=tuning_feedback,
                                tracer=tracer, **metric_params)
     report = PlanExecutor(plan, n_workers=n_workers, recovery=recovery,
                           fault_injector=fault_injector, tracer=tracer,

@@ -20,17 +20,17 @@ __all__ = ["degree_cdf", "degree_percentile", "fraction_below",
            "degree_summary", "degree_balanced_shards", "balanced_split"]
 
 
-def degree_cdf(matrix: CSRMatrix, *, max_percentile: float = 0.99,
-               n_points: int = 100) -> Tuple[np.ndarray, np.ndarray]:
-    """CDF series ``(degrees, cumulative_fraction)`` up to a percentile.
+def degree_cdf(matrix: CSRMatrix) -> Tuple[np.ndarray, np.ndarray]:
+    """CDF series ``(degrees, cumulative_fraction)`` up to the 99th
+    percentile, at 100 points.
 
     Mirrors Figure 1's axes: x = degree, y = fraction of rows with degree
-    <= x, truncated at ``max_percentile`` to cut the extreme tail.
+    <= x, truncated at the 99th percentile to cut the extreme tail.
     """
     deg = np.sort(matrix.row_degrees())
     if deg.size == 0:
         return np.zeros(0), np.zeros(0)
-    qs = np.linspace(0.0, max_percentile, n_points)
+    qs = np.linspace(0.0, 0.99, 100)
     xs = np.quantile(deg, qs, method="inverted_cdf").astype(np.float64)
     ys = np.searchsorted(deg, xs, side="right") / deg.size
     return xs, ys

@@ -63,10 +63,8 @@ PLACEMENTS = ("contiguous", "degree_balanced")
 #: Wire size of one (distance, global id) top-k candidate: f64 + i64.
 TOPK_PAIR_BYTES = 16
 
-#: Wire size of one operand index (row extent or column id): int64.
-#: Comm accounting deliberately uses the widest width on every device so
-#: modeled volumes are a function of the partition alone, not of which
-#: panels happened to fit int32 (see ``repro.plan.index_width``).
+#: Wire size of one operand index (row extent or column id): int64 on
+#: every device, so modeled volumes are a function of the partition alone.
 OPERAND_INDEX_BYTES = 8
 
 

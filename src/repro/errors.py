@@ -63,24 +63,6 @@ class EngineConfigError(ReproError):
         self.available = tuple(available)
 
 
-class IndexWidthError(ReproError):
-    """An operand needs wider device indices than the plan allows.
-
-    Raised by :func:`repro.plan.index_width.resolve_index_dtype` when an
-    explicit ``index_width="int32"`` cannot address the operands (row/col
-    counts, nnz, or the flattened output block exceed ``2**31 - 1``) —
-    failing loudly at plan time instead of silently overflowing 32-bit
-    indices on billion-row inputs. ``quantity`` names the overflowing
-    extent and ``value`` its magnitude.
-    """
-
-    def __init__(self, message: str, *, quantity: str = "",
-                 value: int = 0):
-        super().__init__(message)
-        self.quantity = str(quantity)
-        self.value = int(value)
-
-
 class KernelLaunchError(ReproError):
     """A simulated kernel could not be scheduled with the requested resources."""
 

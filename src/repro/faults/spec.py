@@ -117,21 +117,17 @@ class FaultSpec:
         return bool(coin < self.probability)
 
 
-def fatal_specs(*, tiles=None, max_attempts: int = 16,
-                kind: "FaultKind | str" = FaultKind.STUCK,
-                ) -> Tuple[FaultSpec, ...]:
-    """A schedule that defeats any retry budget below ``max_attempts``.
+def fatal_specs(*, tiles=None) -> Tuple[FaultSpec, ...]:
+    """A schedule that defeats any retry budget below 16 attempts.
 
-    One :class:`FaultSpec` firing at every attempt ``0..max_attempts-1``
+    One ``stuck`` :class:`FaultSpec` firing at every attempt ``0..15``
     (all split depths) of the selected ``tiles`` — the canonical way for
     replication tests to kill a replica outright: the server's escalated
     :class:`~repro.faults.RecoveryPolicy` exhausts its ladder and the
     replica is marked unhealthy, triggering failover to a sibling.
     """
-    if max_attempts <= 0:
-        raise ValueError(f"max_attempts must be positive, got {max_attempts}")
-    return (FaultSpec(kind=FaultKind(kind), tiles=tiles,
-                      attempts=tuple(range(max_attempts)),
+    return (FaultSpec(kind=FaultKind.STUCK, tiles=tiles,
+                      attempts=tuple(range(16)),
                       depths=tuple(range(8))),)
 
 

@@ -109,15 +109,11 @@ class DeviceSpec:
                             // self.max_threads_per_block)
         return (self.smem_per_sm_bytes // blocks_needed) // entry_bytes
 
-    def hash_table_max_degree(self, entry_bytes: int = 8,
-                              load_factor: float = 0.5) -> int:
+    def hash_table_max_degree(self) -> int:
         """Max row degree the hash-table strategy handles without
-        partitioning (paper §3.3.2: ~3K on Volta, ~5K on Ampere)."""
-        return int(self.hash_table_slots(entry_bytes) * load_factor)
-
-    @property
-    def max_resident_warps(self) -> int:
-        return self.n_sms * self.max_warps_per_sm
+        partitioning: half the 8-byte slots, the 50% load factor (paper
+        §3.3.2: ~3K on Volta, ~5K on Ampere)."""
+        return self.hash_table_slots() // 2
 
     @property
     def peak_lane_throughput(self) -> float:

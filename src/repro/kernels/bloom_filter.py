@@ -88,13 +88,13 @@ class BlockBloomFilter:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def expected_fpr(n_items: int, n_bits: int,
-                     n_hashes: int = N_HASHES) -> float:
-        """Textbook bloom false-positive rate (used by the cost model when
-        it prices un-simulated blocks)."""
+    def expected_fpr(n_items: int, n_bits: int) -> float:
+        """Textbook bloom false-positive rate for :data:`N_HASHES` hashes
+        (used by the cost model when it prices un-simulated blocks)."""
         if n_bits <= 0 or n_items <= 0:
             return 0.0
-        return (1.0 - math.exp(-n_hashes * n_items / n_bits)) ** n_hashes
+        k = BlockBloomFilter.N_HASHES
+        return (1.0 - math.exp(-k * n_items / n_bits)) ** k
 
     @staticmethod
     def binary_search_steps(degree: int) -> float:

@@ -132,20 +132,20 @@ class LoadBalancedCooKernel(PairwiseKernel):
     tunable = True
     #: paper: "our design uses less than 32" registers per thread
     REGS_PER_THREAD = 31
+    #: staged blocks whose hash tables the probe sampler builds
+    STATS_SAMPLE_ROWS = 64
+    #: seed of the probe sampler's generator, drawn afresh per schedule
+    RNG_SEED = 0
 
     def __init__(self, spec: DeviceSpec = VOLTA_V100, *,
                  row_cache: str = "auto", block_threads: int = 1024,
-                 stats_sample_rows: int = 64,
-                 stats_sample_queries: int = 32768,
-                 rng_seed: int = 0):
+                 stats_sample_queries: int = 32768):
         super().__init__(spec)
         if row_cache != "auto":
             row_cache = RowCacheStrategy(row_cache)
         self.row_cache = row_cache
         self.block_threads = int(block_threads)
-        self.stats_sample_rows = int(stats_sample_rows)
         self.stats_sample_queries = int(stats_sample_queries)
-        self.rng_seed = int(rng_seed)
 
     # ------------------------------------------------------------------
     def schedule(self, a: CSRMatrix, b: CSRMatrix,
@@ -154,7 +154,7 @@ class LoadBalancedCooKernel(PairwiseKernel):
         stages B and streams A (§3.3.1). The hash-probe sampler draws from
         a generator seeded afresh per schedule, so equal operands always
         give equal schedules."""
-        rng = np.random.default_rng(self.rng_seed)
+        rng = np.random.default_rng(self.RNG_SEED)
         launches = [self._pass(a, b, semiring, rng, second_pass=False)]
         if semiring.requires_union:
             launches.append(self._pass(b, a, semiring, rng, second_pass=True))
@@ -331,7 +331,7 @@ class LoadBalancedCooKernel(PairwiseKernel):
         if n_blocks == 0 or streamed.nnz == 0:
             return 0.0, 0.0, ()
         sample_ids = np.unique(np.linspace(
-            0, n_blocks - 1, num=min(self.stats_sample_rows, n_blocks),
+            0, n_blocks - 1, num=min(self.STATS_SAMPLE_ROWS, n_blocks),
             dtype=np.int64))
         queries = streamed.indices
         if queries.size > self.stats_sample_queries:

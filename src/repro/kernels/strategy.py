@@ -113,14 +113,15 @@ def plan_partitions(degrees: np.ndarray, max_entries: int) -> PartitionPlan:
 
 
 def stage_row_partitioned(cols: np.ndarray, vals: np.ndarray,
-                          capacity: int, *, max_load: float = HASH_MAX_LOAD):
+                          capacity: int):
     """Stage one row's nonzeros into as many hash tables as its degree needs.
 
     The safe route around :class:`~repro.errors.HashCapacityError`: the
-    row's degree is pre-checked against ``capacity * max_load`` (the §3.3.2
-    50%-load rule) and, when it exceeds it, the row is divided uniformly
-    across several blocks via :func:`plan_partitions` — each block staging
-    its share in its own table — instead of overflowing a single insert.
+    row's degree is pre-checked against ``capacity * HASH_MAX_LOAD`` (the
+    §3.3.2 50%-load rule) and, when it exceeds it, the row is divided
+    uniformly across several blocks via :func:`plan_partitions` — each
+    block staging its share in its own table — instead of overflowing a
+    single insert.
 
     Returns ``(tables, reports, plan)``: the per-block
     :class:`~repro.kernels.hash_table.BlockHashTable` instances, their
@@ -134,7 +135,7 @@ def stage_row_partitioned(cols: np.ndarray, vals: np.ndarray,
         raise ValueError("cols and vals must have equal length")
     if capacity <= 0:
         raise ValueError("capacity must be positive")
-    max_entries = max(1, int(capacity * max_load))
+    max_entries = max(1, int(capacity * HASH_MAX_LOAD))
     plan = plan_partitions(np.array([cols.size], dtype=np.int64),
                            max_entries=max_entries)
     tables, reports = [], []

@@ -288,11 +288,10 @@ class SLOMonitor:
 
 def default_serve_objectives(*, p99_latency_ms: float = 50.0,
                              deadline_miss_rate: float = 0.01,
-                             partial_result_rate: float = 0.01,
                              burn_alert: float = 1.0,
                              ) -> Tuple[SLObjective, ...]:
     """The standard objective set for a :class:`~repro.serve.Server`'s
-    ``serve_*`` metric family."""
+    ``serve_*`` metric family (partial results: at most 1%)."""
     return (
         SLObjective(
             name="p99_latency_ms", kind="quantile",
@@ -309,7 +308,7 @@ def default_serve_objectives(*, p99_latency_ms: float = 50.0,
             name="partial_result_rate", kind="ratio",
             numerator="serve_partial_results_total",
             denominator="serve_requests_total",
-            threshold=partial_result_rate, burn_alert=burn_alert,
+            threshold=0.01, burn_alert=burn_alert,
             description="requests answered from a degraded shard set"),
     )
 

@@ -31,11 +31,6 @@ from repro.plan.executor import (
     PlanExecutor,
     estimate_execution_seconds,
 )
-from repro.plan.index_width import (
-    INT32_MAX,
-    required_index_width,
-    resolve_index_dtype,
-)
 from repro.plan.pairwise_plan import (
     PairwisePlan,
     PreparedOperand,
@@ -58,9 +53,6 @@ __all__ = [
     "Autotuner",
     "CandidateEstimate",
     "TuningChoice",
-    "INT32_MAX",
-    "required_index_width",
-    "resolve_index_dtype",
     "build_pairwise_plan",
     "prepare_matrix",
     "prepare_operand",

@@ -20,20 +20,13 @@ heuristic shortlist:
 The bloom strategy stays out of ``auto``: the paper (§3.3.2) found no
 a-priori rule for when its false positives pay off, and the cost model
 inherits that uncertainty. Explicit ``row_cache="bloom"`` remains available.
-
-A prior run's :meth:`Profile.roofline() <repro.obs.profile.Profile>` output
-may be fed back (``tuning_feedback=``): measured per-strategy seconds
-recalibrate the candidate whose launches landed in that strategy bucket,
-closing the trace → attribution → next-plan loop. On the same operands the
-measured and estimated seconds coincide, so the calibration factor is
-exactly 1 and feedback never perturbs an already-exact decision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.core.semiring import Semiring
 from repro.gpusim.cost_model import OperandProbe
@@ -43,39 +36,20 @@ from repro.kernels.strategy import DENSE_ITEM_BYTES, max_entries_per_block
 
 __all__ = ["Autotuner", "CandidateEstimate", "TuningChoice"]
 
-#: calibration factors are clamped to this band — feedback refines the
-#: model, it must never be able to invert an ordering by orders of
-#: magnitude off one noisy bucket
-CALIBRATION_CLAMP = (0.25, 4.0)
-
-#: roofline strategy buckets each candidate's launches land in
-_FEEDBACK_BUCKETS = {
-    ("hybrid_coo", "dense"): ("dense",),
-    ("hybrid_coo", "hash"): ("hash", "degree_partitioned"),
-    ("merge_path", None): ("nonzero_split",),
-}
-
 
 @dataclass(frozen=True)
 class CandidateEstimate:
-    """One evaluated configuration: estimate, calibration, final score."""
+    """One evaluated configuration and its estimated seconds."""
 
     engine: str
     row_cache: Optional[str]
     max_tile_rows_b: Optional[int]
     estimated_seconds: float
-    calibration_factor: float = 1.0
-
-    @property
-    def score(self) -> float:
-        return self.estimated_seconds * self.calibration_factor
 
     def as_dict(self) -> dict:
         return {"engine": self.engine, "row_cache": self.row_cache,
                 "max_tile_rows_b": self.max_tile_rows_b,
-                "estimated_seconds": self.estimated_seconds,
-                "calibration_factor": self.calibration_factor,
-                "score": self.score}
+                "estimated_seconds": self.estimated_seconds}
 
 
 @dataclass(frozen=True)
@@ -103,34 +77,11 @@ class TuningChoice:
                 "probe_b": self.probe_b.as_dict()}
 
 
-def _normalize_feedback(feedback) -> Dict[str, float]:
-    """Per-strategy measured seconds from any roofline-shaped input.
-
-    Accepts a :class:`~repro.obs.profile.RooflineReport`, a
-    :class:`~repro.obs.profile.Profile`, or either one's ``as_dict()``
-    payload (so a JSON round-trip through a bench artifact works too).
-    """
-    if feedback is None:
-        return {}
-    if hasattr(feedback, "roofline"):  # Profile
-        feedback = feedback.roofline()
-    if hasattr(feedback, "strategies"):  # RooflineReport
-        return {s.strategy: float(s.seconds) for s in feedback.strategies}
-    if isinstance(feedback, dict):
-        payload = feedback.get("roofline", feedback)
-        strategies = payload.get("strategies", ())
-        return {s["strategy"]: float(s["seconds"]) for s in strategies}
-    raise TypeError(
-        f"tuning_feedback must be a Profile, RooflineReport, or their "
-        f"as_dict() payload; got {type(feedback).__name__}")
-
-
 class Autotuner:
     """Pick (engine, row_cache, tile shape) from cost-model dry runs."""
 
-    def __init__(self, spec: DeviceSpec = VOLTA_V100, *, feedback=None):
+    def __init__(self, spec: DeviceSpec = VOLTA_V100):
         self.spec = spec
-        self.feedback = _normalize_feedback(feedback)
 
     # ------------------------------------------------------------------
     def engine_candidates(self, a, b) -> List[Tuple[str, Optional[str]]]:
@@ -183,20 +134,20 @@ class Autotuner:
             kwargs = {} if row_cache is None else {"row_cache": row_cache}
             kernel = engine_info(engine).make(self.spec, **kwargs)
             for max_rows_b in self.tile_candidates(a, b):
-                seconds = self._estimate(kernel, a, b, semiring, max_rows_b)
-                factor = self._calibration(engine, row_cache, seconds)
                 candidates.append(CandidateEstimate(
                     engine=engine, row_cache=row_cache,
                     max_tile_rows_b=max_rows_b,
-                    estimated_seconds=seconds,
-                    calibration_factor=factor))
+                    estimated_seconds=self._estimate(
+                        kernel, a, b, semiring, max_rows_b)))
         if not candidates:
             raise RuntimeError(
                 "autotuner found no runnable candidate configuration")
-        # Deterministic argmin: score, then name/strategy/tile tie-breaks,
-        # so identical operands always produce the identical choice.
+        # Deterministic argmin: estimate, then name/strategy/tile
+        # tie-breaks, so identical operands always produce the identical
+        # choice.
         best = min(candidates, key=lambda c: (
-            c.score, c.engine, c.row_cache or "", c.max_tile_rows_b or 0))
+            c.estimated_seconds, c.engine, c.row_cache or "",
+            c.max_tile_rows_b or 0))
         return TuningChoice(
             engine=best.engine, row_cache=best.row_cache,
             max_tile_rows_b=best.max_tile_rows_b,
@@ -214,23 +165,3 @@ class Autotuner:
             band = b.slice_rows(lo, min(lo + max_rows_b, b.n_rows))
             total += kernel.estimate_seconds(a, band, semiring)
         return total
-
-    def _calibration(self, engine: str, row_cache: Optional[str],
-                     estimated_seconds: float) -> float:
-        """Measured/estimated ratio for the candidate's roofline bucket.
-
-        1.0 without feedback or when the bucket is absent; clamped to
-        :data:`CALIBRATION_CLAMP`. When the feedback came from the same
-        operands the ratio is exactly 1, so feedback is a no-op where the
-        estimate is already exact.
-        """
-        if not self.feedback or estimated_seconds <= 0.0:
-            return 1.0
-        buckets = _FEEDBACK_BUCKETS.get((engine, row_cache))
-        if buckets is None:
-            return 1.0
-        measured = sum(self.feedback.get(bucket, 0.0) for bucket in buckets)
-        if measured <= 0.0:
-            return 1.0
-        lo, hi = CALIBRATION_CLAMP
-        return min(hi, max(lo, measured / estimated_seconds))

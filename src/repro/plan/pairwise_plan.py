@@ -24,7 +24,6 @@ from repro.kernels.base import PairwiseKernel
 from repro.kernels.host import HostKernel
 from repro.obs.tracer import NULL_SPAN, get_default_tracer
 from repro.plan.autotune import Autotuner, TuningChoice
-from repro.plan.index_width import resolve_index_dtype
 from repro.plan.tiling import (
     OUTPUT_ITEM_BYTES,
     TileGrid,
@@ -141,8 +140,6 @@ class PairwisePlan:
     #: the autotuner's decision record when the plan was built with
     #: ``engine="auto"`` (None for fixed-engine plans)
     tuning: Optional[TuningChoice] = None
-    #: device index dtype the operands require (see repro.plan.index_width)
-    index_dtype: Optional[np.dtype] = None
     #: row-band slices, materialized lazily and cached (shared by tiles in
     #: the same band, so each band is sliced exactly once)
     _a_bands: List[Optional[CSRMatrix]] = field(default_factory=list,
@@ -227,8 +224,6 @@ def build_pairwise_plan(
     memory_budget_bytes: Optional[int] = None,
     max_tile_rows_a: Optional[int] = None,
     max_tile_rows_b: Optional[int] = None,
-    index_width: str = "auto",
-    tuning_feedback=None,
     tracer=None,
     **metric_params,
 ) -> PairwisePlan:
@@ -244,13 +239,6 @@ def build_pairwise_plan(
     :class:`~repro.plan.autotune.Autotuner`: engine × row-cache × tile
     shape is picked by exact cost-model dry runs over the operands' degree
     distributions, and the decision record lands on ``plan.tuning``.
-    ``tuning_feedback`` optionally feeds a prior run's
-    ``Profile.roofline()`` attribution back into the tuner's calibration.
-
-    ``index_width`` enforces the int32/int64 device-index policy
-    (``"auto"`` derives the narrowest safe width; an explicit ``"int32"``
-    that cannot address the operands raises
-    :class:`~repro.errors.IndexWidthError` at plan time).
 
     Either side may be a :class:`PreparedOperand` (see
     :func:`prepare_operand`), in which case its pre-transformed values and
@@ -272,16 +260,13 @@ def build_pairwise_plan(
         if isinstance(engine, str) and engine.lower() == "auto":
             spec = (get_device(device) if isinstance(device, str)
                     else (device or VOLTA_V100))
-            tuning = Autotuner(spec, feedback=tuning_feedback).tune(
-                a, b, measure.semiring)
+            tuning = Autotuner(spec).tune(a, b, measure.semiring)
             kernel = make_engine(tuning.engine, spec,
                                  **tuning.engine_kwargs())
             if max_tile_rows_b is None:
                 max_tile_rows_b = tuning.max_tile_rows_b
         else:
             kernel, spec = resolve_engine_and_spec(engine, device)
-
-        index_dtype = resolve_index_dtype(index_width, a, b)
 
         norms_a = norms_b = None
         if measure.kind == EXPANDED:
@@ -302,11 +287,10 @@ def build_pairwise_plan(
                       n_tiles=grid.n_tiles,
                       shape=f"{a.n_rows}x{b.n_rows}x{a.n_cols}",
                       memory_budget_bytes=budget,
-                      index_dtype=str(index_dtype),
                       tuned=tuning is not None)
 
     return PairwisePlan(a=a, b=b, b_is_a=b_is_a, measure=measure,
                         kernel=kernel, spec=spec, grid=grid,
                         memory_budget_bytes=budget,
                         norms_a=norms_a, norms_b=norms_b,
-                        tuning=tuning, index_dtype=index_dtype)
+                        tuning=tuning)

@@ -4,7 +4,7 @@ Real k-NN serving traffic is not Poisson: inter-arrival gaps are
 heavy-tailed (a few long silences between dense bursts) and the rate
 swings diurnally. :func:`heavy_tailed_trace` models both on the simulated
 clock — lognormal inter-arrival gaps (heavy right tail) modulated by a
-sinusoidal "time-of-day" intensity, with a configurable priority mix and
+sinusoidal "time-of-day" intensity, with a fixed priority mix and
 per-class relative deadlines — as a pure function of its seed, so bench
 cells and chaos tests replay the exact same burst structure every run.
 """
@@ -17,6 +17,11 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 __all__ = ["TraceRequest", "heavy_tailed_trace"]
+
+#: priority classes and their shares of the requests: mostly sheddable
+#: (class 2) traffic
+_PRIORITIES = (0, 1, 2)
+_PRIORITY_SHARES = (0.2, 0.3, 0.5)
 
 
 @dataclass(frozen=True)
@@ -35,7 +40,6 @@ def heavy_tailed_trace(
         mean_gap_ms: float = 2.0, gap_sigma: float = 1.2,
         diurnal_period_ms: float = 400.0, diurnal_amplitude: float = 0.8,
         rows_choices: Tuple[int, ...] = (1, 2, 4, 8),
-        priority_weights: Dict[int, float] = None,
         deadline_ms_by_priority: Dict[int, float] = None,
         ) -> Tuple[TraceRequest, ...]:
     """A bursty, diurnally-modulated arrival trace (deterministic).
@@ -45,10 +49,10 @@ def heavy_tailed_trace(
     intensity ``1 + diurnal_amplitude * sin(2π t / diurnal_period_ms)``
     so "daytime" phases compress the gaps into bursts and "nighttime"
     phases stretch them out. Row counts are drawn uniformly from
-    ``rows_choices``; priorities from ``priority_weights`` (default
-    ``{0: 0.2, 1: 0.3, 2: 0.5}`` — mostly sheddable traffic); a class
-    with an entry in ``deadline_ms_by_priority`` gets
-    ``arrival + that relative deadline``, others run best-effort.
+    ``rows_choices``; priorities 0, 1 and 2 in shares 0.2, 0.3 and 0.5
+    (mostly sheddable traffic); a class with an entry in
+    ``deadline_ms_by_priority`` gets ``arrival + that relative deadline``,
+    others run best-effort.
     """
     if n_requests <= 0:
         raise ValueError(f"n_requests must be positive, got {n_requests}")
@@ -57,12 +61,6 @@ def heavy_tailed_trace(
     if not 0.0 <= diurnal_amplitude < 1.0:
         raise ValueError(
             f"diurnal_amplitude must be in [0, 1), got {diurnal_amplitude}")
-    if priority_weights is None:
-        priority_weights = {0: 0.2, 1: 0.3, 2: 0.5}
-    priorities = np.array(sorted(priority_weights), dtype=np.int64)
-    weights = np.array([priority_weights[p] for p in priorities],
-                       dtype=np.float64)
-    weights = weights / weights.sum()
     if deadline_ms_by_priority is None:
         deadline_ms_by_priority = {}
 
@@ -71,7 +69,8 @@ def heavy_tailed_trace(
                          size=n_requests)
     rows = rng.choice(np.asarray(rows_choices, dtype=np.int64),
                       size=n_requests)
-    prio = rng.choice(priorities, size=n_requests, p=weights)
+    prio = rng.choice(np.asarray(_PRIORITIES, dtype=np.int64),
+                      size=n_requests, p=_PRIORITY_SHARES)
 
     trace = []
     now = 0.0

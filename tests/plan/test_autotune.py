@@ -1,4 +1,4 @@
-"""Autotuner and index-width policy: determinism, optimality, feedback.
+"""Autotuner: determinism and optimality.
 
 The autotuner's contract: on a monolithic plan its cost-model dry runs are
 *exact* (identical counting code, identical pricing), so ``engine="auto"``
@@ -6,26 +6,17 @@ must match the per-cell argmin a fixed-configuration sweep would measure —
 and, same operands in, the same choice must come out every time.
 """
 
-from types import SimpleNamespace
-
-import numpy as np
 import pytest
 
 from repro.core.distances import make_distance
-from repro.core.pairwise import pairwise_distances
 from repro.datasets.synthetic import make_skewed
-from repro.errors import IndexWidthError
 from repro.gpusim.specs import VOLTA_V100
 from repro.kernels import make_engine
-from repro.obs import Profile, Tracer
 from repro.plan import (
     Autotuner,
     DenseBlockConsumer,
-    INT32_MAX,
     PlanExecutor,
     build_pairwise_plan,
-    required_index_width,
-    resolve_index_dtype,
 )
 
 
@@ -100,62 +91,6 @@ class TestAutotuner:
 
 
 class TestFeedback:
-    def test_roofline_feedback_can_flip_the_choice(self):
-        # a cell the hybrid kernel wins, but not by 4x (the clamp)
-        mat = _skewed(2.5, n_rows=64, n_cols=512, mean_degree=128.0)
-        baseline = build_pairwise_plan(mat, None, "manhattan",
-                                       engine="auto").tuning
-        assert baseline.engine == "hybrid_coo"
-        margin = max(c.estimated_seconds for c in baseline.candidates) \
-            / baseline.estimated_seconds
-        assert margin < 4.0
-        # synthetic roofline: "measured" hybrid buckets 4x the estimate
-        penalty = {"strategies": [
-            {"strategy": "dense", "seconds": baseline.estimated_seconds * 4},
-            {"strategy": "hash", "seconds": baseline.estimated_seconds * 4},
-        ]}
-        tuned = build_pairwise_plan(mat, None, "manhattan", engine="auto",
-                                    tuning_feedback=penalty).tuning
-        assert tuned.engine == "merge_path"
-        hybrid = [c for c in tuned.candidates if c.engine == "hybrid_coo"]
-        assert all(c.calibration_factor > 1.0 for c in hybrid)
-
-    def test_same_operand_feedback_is_a_noop(self):
-        """The trace -> attribution -> next-plan loop: feedback measured on
-        the same operands has ratio exactly 1 and cannot perturb the
-        already-exact decision."""
-        mat = _skewed(1.5)
-        tracer = Tracer()
-        plan = build_pairwise_plan(mat, None, "cosine", engine="auto",
-                                   tracer=tracer)
-        PlanExecutor(plan, tracer=tracer).execute(DenseBlockConsumer())
-        feedback = Profile(tracer)
-        replanned = build_pairwise_plan(mat, None, "cosine", engine="auto",
-                                        tuning_feedback=feedback).tuning
-        assert (replanned.engine, replanned.row_cache) \
-            == (plan.tuning.engine, plan.tuning.row_cache)
-        chosen = [c for c in replanned.candidates
-                  if (c.engine, c.row_cache)
-                  == (replanned.engine, replanned.row_cache)
-                  and c.max_tile_rows_b is None]
-        assert chosen[0].calibration_factor == pytest.approx(1.0)
-
-    def test_feedback_roundtrips_through_json_payload(self):
-        mat = _skewed(1.5)
-        tracer = Tracer()
-        plan = build_pairwise_plan(mat, None, "cosine", engine="auto",
-                                   tracer=tracer)
-        PlanExecutor(plan, tracer=tracer).execute(DenseBlockConsumer())
-        payload = Profile(tracer).as_dict(n_workers=1)
-        replanned = build_pairwise_plan(mat, None, "cosine", engine="auto",
-                                        tuning_feedback=payload).tuning
-        assert (replanned.engine, replanned.row_cache) \
-            == (plan.tuning.engine, plan.tuning.row_cache)
-
-    def test_rejects_unrecognized_feedback(self):
-        with pytest.raises(TypeError, match="tuning_feedback"):
-            Autotuner(feedback=42)
-
     def test_tune_accepts_measure_or_semiring(self):
         mat = _skewed(1.0)
         from repro.core.pairwise import prepare_matrix
@@ -166,49 +101,3 @@ class TestFeedback:
         assert (via_measure.engine, via_measure.row_cache) \
             == (via_semiring.engine, via_semiring.row_cache)
 
-
-def _fake(n_rows=10, n_cols=10, nnz=20):
-    return SimpleNamespace(n_rows=n_rows, n_cols=n_cols, nnz=nnz)
-
-
-class TestIndexWidth:
-    def test_small_operands_fit_int32(self):
-        assert required_index_width(_fake(), _fake()) == "int32"
-        assert resolve_index_dtype("auto", _fake(), _fake()) \
-            == np.dtype(np.int32)
-
-    def test_output_cells_force_int64(self):
-        # no single dimension overflows, but the flattened m x n block does
-        a = _fake(n_rows=70_000)
-        b = _fake(n_rows=70_000)
-        assert a.n_rows <= INT32_MAX and a.n_rows * b.n_rows > INT32_MAX
-        assert required_index_width(a, b) == "int64"
-
-    def test_nnz_forces_int64(self):
-        big = _fake(nnz=INT32_MAX + 1)
-        assert required_index_width(big, _fake()) == "int64"
-
-    def test_explicit_int32_overflow_fails_loudly(self):
-        a = _fake(n_rows=70_000)
-        with pytest.raises(IndexWidthError, match="output_cells") as err:
-            resolve_index_dtype("int32", a, a)
-        assert err.value.quantity == "output_cells"
-        assert err.value.value == 70_000 * 70_000
-
-    def test_unknown_width_rejected(self):
-        with pytest.raises(ValueError, match="index_width"):
-            resolve_index_dtype("int16", _fake(), _fake())
-
-    def test_plan_records_index_dtype(self, rng):
-        from tests.conftest import random_csr
-        a = random_csr(rng, 12, 9, 0.4)
-        plan = build_pairwise_plan(a, None, "cosine")
-        assert plan.index_dtype == np.dtype(np.int32)
-        plan64 = build_pairwise_plan(a, None, "cosine", index_width="int64")
-        assert plan64.index_dtype == np.dtype(np.int64)
-
-    def test_pairwise_distances_rejects_bad_width(self, rng):
-        from tests.conftest import random_dense
-        x = random_dense(rng, 6, 8)
-        with pytest.raises(ValueError, match="index_width"):
-            pairwise_distances(x, metric="cosine", index_width="int16")
