@@ -28,7 +28,6 @@ from repro.gpusim.memory import (
     coalesced_transactions,
     strided_transactions,
     uncoalesced_transactions,
-    warp_bank_conflicts,
 )
 from repro.gpusim.occupancy import Occupancy, compute_occupancy
 from repro.gpusim.specs import AMPERE_A100, KIB, VOLTA_V100, DeviceSpec, get_device
@@ -64,6 +63,5 @@ __all__ = [
     "coalesced_transactions",
     "uncoalesced_transactions",
     "strided_transactions",
-    "warp_bank_conflicts",
     "bank_conflicts_for_offsets",
 ]

@@ -21,7 +21,6 @@ __all__ = [
     "coalesced_transactions",
     "uncoalesced_transactions",
     "strided_transactions",
-    "warp_bank_conflicts",
     "bank_conflicts_for_offsets",
 ]
 
@@ -64,34 +63,15 @@ def strided_transactions(n_elements: int, stride_elements: int,
     return float(-(-n_elements // elements_per_transaction))
 
 
-def warp_bank_conflicts(addresses: np.ndarray, n_banks: int = 32,
-                        itemsize: int = 4) -> int:
-    """Serialized extra cycles for one warp's shared-memory access.
-
-    ``addresses`` are the byte (or element, with ``itemsize=1``) offsets the
-    lanes of a single warp touch simultaneously. Lanes hitting the *same*
-    address broadcast for free; lanes hitting *different* addresses in the
-    same bank serialize, adding ``(distinct addresses in bank) - 1`` cycles.
-    """
-    addresses = np.asarray(addresses, dtype=np.int64)
-    if addresses.size == 0:
-        return 0
-    words = addresses // itemsize
-    banks = words % n_banks
-    conflicts = 0
-    for bank in np.unique(banks):
-        distinct = np.unique(words[banks == bank]).size
-        conflicts += max(0, distinct - 1)
-    return int(conflicts)
-
-
 def bank_conflicts_for_offsets(offsets: np.ndarray, warp_size: int = 32,
                                n_banks: int = 32, itemsize: int = 4) -> int:
     """Total bank-conflict cycles when a flat stream of shared-memory word
     offsets is issued ``warp_size`` lanes at a time.
 
-    The stream is chunked into consecutive warps; each chunk is scored with
-    :func:`warp_bank_conflicts`. Vectorized with bincount over
+    The stream is chunked into consecutive warps. Within a warp, lanes
+    hitting the *same* word broadcast for free; lanes hitting *different*
+    words in the same bank serialize, adding one cycle per distinct word
+    in the bank beyond the first. Vectorized with bincount over
     ``(warp, bank)`` pairs instead of a Python loop per warp.
     """
     offsets = np.asarray(offsets, dtype=np.int64)

@@ -300,10 +300,6 @@ class Profile:
         self.tracer = tracer
         self.roots = _canonical_roots(tracer)
 
-    @classmethod
-    def from_tracer(cls, tracer: Tracer) -> "Profile":
-        return cls(tracer)
-
     # -- plan anatomy --------------------------------------------------
     def _plan_root(self) -> Span:
         # A full run records two plan-category roots (plan.build, then
@@ -318,13 +314,6 @@ class Profile:
         if plan_roots:
             return plan_roots[-1]
         raise ValueError("tracer recorded no plan.execute root span")
-
-    def _plan_tiles(self) -> List[Span]:
-        """Tile spans of the (first) plan root, in planned tile order —
-        exactly the order the executor filled ``tile_seconds`` in."""
-        tiles = [c for c in self._plan_root().children
-                 if c.category == "tile"]
-        return sorted(tiles, key=lambda s: int(s.args.get("tile", -1)))
 
     # -- critical path -------------------------------------------------
     def critical_path(self, n_workers: Optional[int] = None) -> CriticalPath:

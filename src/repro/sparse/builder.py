@@ -78,17 +78,6 @@ class CSRRowBuilder:
         self._nnz += indices.size
         return len(self._indices) - 1
 
-    def append_rows(self, matrix: CSRMatrix) -> np.ndarray:
-        """Append every row of ``matrix``; returns their log positions."""
-        if matrix.n_cols != self._n_cols:
-            raise SparseFormatError(
-                f"matrix has {matrix.n_cols} columns, builder expects "
-                f"{self._n_cols}")
-        positions = np.empty(matrix.n_rows, dtype=np.int64)
-        for i, (indices, values) in enumerate(matrix.iter_rows()):
-            positions[i] = self.append(indices, values)
-        return positions
-
     def row(self, position: int) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(indices, values)`` of one logged row."""
         return self._indices[position], self._data[position]

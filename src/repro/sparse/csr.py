@@ -186,25 +186,6 @@ class CSRMatrix:
                          (rows.size, self._shape[1]),
                          check=False, sort=False)
 
-    def delete_rows(self, rows) -> "CSRMatrix":
-        """Every row *except* ``rows``, original order preserved.
-
-        The tombstone gather: compaction of a mutable index drops the
-        deleted/superseded rows of the old generation in one pass.
-        Duplicate ids in ``rows`` are allowed (deleting twice is deleting
-        once).
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.ndim != 1:
-            raise ValueError("delete_rows expects a 1-D array of row ids")
-        if rows.size and (rows.min() < 0 or rows.max() >= self._shape[0]):
-            raise ValueError(
-                f"row ids must be within [0, {self._shape[0]}), got range "
-                f"[{rows.min()}, {rows.max()}]")
-        keep = np.ones(self._shape[0], dtype=bool)
-        keep[rows] = False
-        return self.take_rows(np.flatnonzero(keep))
-
     def to_dense(self) -> np.ndarray:
         """Materialize as a dense ``float64`` array."""
         out = np.zeros(self._shape, dtype=np.float64)

@@ -131,10 +131,6 @@ class MutationOracle:
         elif op.kind not in ("compact", "rebalance", "query"):
             raise ValueError(f"unknown mutation op kind {op.kind!r}")
 
-    @property
-    def n_live(self) -> int:
-        return len(self._rows)
-
     def live_ids(self) -> np.ndarray:
         return np.fromiter(sorted(self._rows), dtype=np.int64,
                            count=len(self._rows))

@@ -9,8 +9,29 @@ from repro.gpusim.memory import (
     coalesced_transactions,
     strided_transactions,
     uncoalesced_transactions,
-    warp_bank_conflicts,
 )
+
+
+def warp_bank_conflicts(addresses: np.ndarray, n_banks: int = 32,
+                        itemsize: int = 4) -> int:
+    """Loop oracle: serialized extra cycles for one warp's shared-memory
+    access.
+
+    ``addresses`` are the byte (or element, with ``itemsize=1``) offsets the
+    lanes of a single warp touch simultaneously. Lanes hitting the *same*
+    address broadcast for free; lanes hitting *different* addresses in the
+    same bank serialize, adding ``(distinct addresses in bank) - 1`` cycles.
+    """
+    addresses = np.asarray(addresses, dtype=np.int64)
+    if addresses.size == 0:
+        return 0
+    words = addresses // itemsize
+    banks = words % n_banks
+    conflicts = 0
+    for bank in np.unique(banks):
+        distinct = np.unique(words[banks == bank]).size
+        conflicts += max(0, distinct - 1)
+    return int(conflicts)
 
 
 class TestCoalescing:
