@@ -565,6 +565,10 @@ class MutableIndex:
         directory.mkdir(parents=True, exist_ok=True)
         with self._lock:
             ids, raw = self.materialize()
+            if ids.size == 0:
+                raise ValueError(
+                    "cannot snapshot an index with zero live rows; upsert "
+                    "before snapshotting")
             version = self._snapshot_version
             self._snapshot_version += 1
             meta = {
@@ -647,6 +651,8 @@ class MutableIndex:
             raise SnapshotFormatError(
                 f"snapshot {path!r} array 'ids' is invalid: {exc}") from exc
         raw = build_snapshot_csr(arrays, n_rows, n_cols, path)
+        layout["n_shards"], layout["devices"] = _fit_shards(
+            layout["n_shards"], layout["devices"], n_rows)
         base = ShardedIndex._from_prepared(prepare_operand(raw, measure),
                                            ids, measure, **layout)
         knobs.setdefault("compact_threshold_rows",
@@ -789,11 +795,10 @@ class MutableIndex:
             raise ValueError(
                 "cannot compact an index with zero live rows; upsert "
                 "before compacting")
-        n_shards = min(n_shards, ids.size)
+        n_shards, kept = _fit_shards(
+            n_shards, [s.device for s in self._base.shards], ids.size)
         if devices is None:
-            devices = ([s.device for s in self._base.shards]
-                       if n_shards == self._base.n_shards
-                       else self._base.shards[0].device)
+            devices = kept
         raw = self._gather_raw(ids)
         index = ShardedIndex._from_prepared(
             prepare_operand(raw, self.measure), ids, self.measure,
@@ -918,6 +923,15 @@ class MutableIndex:
         self._now_ms += pending.simulated_seconds * 1e3
         self._last_compact_ms = self._now_ms
         self._touch()
+
+
+def _fit_shards(n_shards: int, devices: list, n_rows: int):
+    """At most one shard per row: ``(n_shards, devices)`` with the count
+    capped at ``n_rows``, keeping ``devices`` (one per current shard) when
+    the count matches them and putting every shard on the first one
+    otherwise."""
+    n_shards = min(n_shards, n_rows)
+    return n_shards, (devices if n_shards == len(devices) else devices[0])
 
 
 def _check_ids(ids: np.ndarray) -> None:

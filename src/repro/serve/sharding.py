@@ -652,6 +652,8 @@ def read_index_config(meta: dict, path,
     for key in ("n_shards", "n_replicas"):
         if layout[key] <= 0:
             raise bad(key, f"must be positive, got {layout[key]}")
+    if n_rows <= 0:
+        raise bad("n_rows", f"must be positive, got {n_rows}")
     if len(names) != layout["n_shards"]:
         raise bad("devices", f"lists {len(names)} entries for "
                              f"{layout['n_shards']} shards")

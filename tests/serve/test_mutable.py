@@ -297,6 +297,22 @@ class TestSnapshots:
         with pytest.raises(SnapshotFormatError, match="not retained"):
             MutableIndex.restore(tmp_path, version=9)
 
+    def test_fewer_live_rows_than_shards(self, index, rng, tmp_path):
+        index.delete(np.arange(1, 16))
+        index.snapshot(tmp_path)
+        restored = MutableIndex.restore(tmp_path)
+        assert restored.n_base_shards == 1
+        q = random_dense(rng, 3, N_COLS, 0.5)
+        for got, want in zip(restored.kneighbors(q, 1),
+                             index.kneighbors(q, 1)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_zero_live_rows_refused(self, index, tmp_path):
+        index.delete(np.arange(16))
+        with pytest.raises(ValueError, match="zero live rows"):
+            index.snapshot(tmp_path)
+        assert MutableIndex.list_snapshots(tmp_path) == []
+
     def test_restore_empty_directory(self, tmp_path):
         with pytest.raises(SnapshotFormatError, match="no mutable"):
             MutableIndex.restore(tmp_path)
@@ -347,7 +363,14 @@ class TestSnapshots:
         ("ids", lambda meta, arrays: arrays.update(
             ids=arrays["ids"][::-1].copy())),
         ("n_replicas", lambda meta, arrays: meta.pop("n_replicas")),
-    ], ids=["devices", "n_shards", "placement", "ids", "no-n_replicas"])
+        ("n_rows", lambda meta, arrays: (
+            meta.update(n_rows=0),
+            arrays.update(ids=np.zeros(0, dtype=np.int64),
+                          indptr=np.zeros(1, dtype=np.int64),
+                          indices=np.zeros(0, dtype=np.int64),
+                          data=np.zeros(0)))),
+    ], ids=["devices", "n_shards", "placement", "ids", "no-n_replicas",
+            "zero-rows"])
     def test_out_of_range_field_named(self, index, tmp_path, field, mutate):
         path = index.snapshot(tmp_path)
         arrays = dict(np.load(path, allow_pickle=False))
