@@ -1,7 +1,7 @@
 """Property-based tests on semiring math and the distance catalogue."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -11,9 +11,24 @@ from repro.core.reference import pairwise_reference
 from repro.core.semiring import dot_product_semiring, namm_semiring
 from repro.kernels.functional import intersection_block, union_block
 from repro.sparse.csr import CSRMatrix
+from tests.properties.test_distance_props import ATOL
 
 POSITIVE_ONLY = {"hellinger", "kl_divergence", "jensen_shannon"}
 GENERAL_METRICS = sorted(set(available_distances()) - POSITIVE_ONLY)
+
+#: Expanded measures that end in a square root. Both sides compute
+#: sqrt(||a||^2 + ||b||^2 - 2<a,b>), so one ulp of summation-order residue
+#: on a row mass of 65 (1.4e-14) becomes a 1.2e-7 distance; these take the
+#: root-amplified bound ``ATOL`` and every other metric keeps 1e-7.
+ROOT_EXPANDED = {"euclidean", "hellinger"}
+
+#: A Hellinger self-join whose d[2, 2] is 1.19e-7 on both engines and 0.0
+#: in the dense oracle.
+_ROOT_RESIDUE = np.array([[1.0] * 7, [1.0] * 7, [10, 48, 1, 1, 1, 1, 3]])
+
+
+def _oracle_atol(metric):
+    return ATOL if metric in ROOT_EXPANDED else 1e-7
 
 
 @st.composite
@@ -38,16 +53,17 @@ def test_every_distance_matches_oracle(pair, metric):
     x, y = pair
     got = pairwise_distances(x, y, metric=metric, engine="host")
     want = pairwise_reference(x, y, metric)
-    np.testing.assert_allclose(got, want, atol=1e-7)
+    np.testing.assert_allclose(got, want, atol=_oracle_atol(metric))
 
 
 @given(sparse_pair(positive=True), st.sampled_from(sorted(POSITIVE_ONLY)))
+@example((_ROOT_RESIDUE, _ROOT_RESIDUE), "hellinger")
 @settings(max_examples=50, deadline=None)
 def test_positive_distances_match_oracle(pair, metric):
     x, y = pair
     got = pairwise_distances(x, y, metric=metric, engine="host")
     want = pairwise_reference(x, y, metric)
-    np.testing.assert_allclose(got, want, atol=1e-7)
+    np.testing.assert_allclose(got, want, atol=_oracle_atol(metric))
 
 
 @given(sparse_pair(), st.sampled_from(["manhattan", "chebyshev", "hamming",
