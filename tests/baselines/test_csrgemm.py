@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import CsrGemmKernel, baseline_engine_for
-from repro.baselines.cpu_bruteforce import CpuBruteForce
 from repro.core.distances import make_distance
 from repro.core.semiring import dot_product_semiring
 from repro.errors import SemiringError

@@ -1,10 +1,8 @@
 """Coalescing and bank-conflict model tests."""
 
 import numpy as np
-import pytest
 
 from repro.gpusim.memory import (
-    TRANSACTION_BYTES,
     bank_conflicts_for_offsets,
     coalesced_transactions,
     strided_transactions,

@@ -1,7 +1,6 @@
 """Tests for the shared semiring block math (intersection/union)."""
 
 import numpy as np
-import pytest
 
 from repro.core.monoid import MAX
 from repro.core.semiring import dot_product_semiring, namm_semiring

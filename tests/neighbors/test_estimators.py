@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ReproError
 from repro.neighbors.estimators import KNeighborsClassifier, KNeighborsRegressor
-from tests.conftest import random_dense
 
 
 def _blobs(rng, n_per=40, k=12, separation=3.0):

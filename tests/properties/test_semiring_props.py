@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.core.distances import available_distances, make_distance
+from repro.core.distances import available_distances
 from repro.core.pairwise import pairwise_distances
 from repro.core.reference import pairwise_reference
 from repro.core.semiring import dot_product_semiring, namm_semiring

@@ -6,7 +6,6 @@ import pytest
 from repro.errors import SparseFormatError
 from repro.sparse.convert import as_csr, from_scipy, to_scipy_csr
 from repro.sparse.coo import COOMatrix
-from repro.sparse.csr import CSRMatrix
 from tests.conftest import random_csr, random_dense
 
 scipy_sparse = pytest.importorskip("scipy.sparse")

@@ -1,6 +1,5 @@
 """Tests for the benchmark harness (tables, reporting, runner cells)."""
 
-import numpy as np
 import pytest
 
 from repro.bench.reporting import results_dir, save_report, session_reports
