@@ -387,7 +387,6 @@ class MutableIndex:
     shard_plan = ShardedIndex.shard_plan
     query_shard = ShardedIndex.query_shard
     kneighbors = ShardedIndex.kneighbors
-    kneighbors_distributed = ShardedIndex.kneighbors_distributed
 
     # ------------------------------------------------------------------
     # mutations

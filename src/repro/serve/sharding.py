@@ -35,13 +35,11 @@ import numpy as np
 
 from repro.core.distances import DistanceMeasure, make_distance
 from repro.datasets.degree import degree_balanced_shards
-from repro.dist.partition import TOPK_PAIR_BYTES, operand_panel_nbytes
 from repro.errors import (
     DeviceConfigError,
     ShapeMismatchError,
     SnapshotFormatError,
 )
-from repro.gpusim.interconnect import get_interconnect, simulate_transfer
 from repro.gpusim.specs import DeviceSpec, get_device
 from repro.neighbors.topk import TopKAccumulator
 from repro.plan.autotune import TuningChoice
@@ -58,7 +56,7 @@ from repro.sparse.convert import as_csr
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["Shard", "ShardedIndex", "PLACEMENTS", "plan_shard_assignment",
-           "DistributedQueryReport", "fan_out"]
+           "fan_out"]
 
 #: Supported row-placement strategies.
 PLACEMENTS = ("contiguous", "degree_balanced")
@@ -93,29 +91,6 @@ class Shard:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"Shard({self.shard_id}, rows={self.n_rows}, "
                 f"nnz={self.nnz}, device={self.device.name})")
-
-
-@dataclass(frozen=True)
-class DistributedQueryReport:
-    """Comm + compute accounting for one :meth:`ShardedIndex.
-    kneighbors_distributed` call over an ``n_shards × query_slices``
-    device grid: scatter (front-end → every cell), per-cell compute,
-    per-slice reduce to the slice leader, gather back to the front-end —
-    every transfer priced by the interconnect on the same rendezvous
-    clock the offline :mod:`repro.dist` planner uses."""
-
-    simulated_seconds: float
-    comm_seconds: float
-    comm_bytes_total: int
-    bytes_by_phase: Dict[str, int]
-    n_comm_steps: int
-    grid_rows: int
-    grid_cols: int
-    interconnect: str
-    #: per flat device id ``r * query_slices + c``
-    compute_seconds: Tuple[float, ...]
-    #: per-cell single-device execution reports, keyed ``(shard, slice)``
-    cell_reports: Dict[Tuple[int, int], PlanExecutionReport]
 
 
 def plan_shard_assignment(csr: CSRMatrix, n_shards: int,
@@ -388,119 +363,6 @@ class ShardedIndex:
             live, n_workers)
         return ShardedIndex.merge_shard_topk(
             [(d, g) for d, g, _ in parts], queries.n_rows, k)
-
-    def kneighbors_distributed(
-        self, x, n_neighbors: int = 5, *, interconnect="nvlink",
-        query_slices: int = 1, n_workers: int = 1, **executor_kwargs,
-    ) -> Tuple[np.ndarray, np.ndarray, DistributedQueryReport]:
-        """:meth:`kneighbors` with the cross-device traffic made explicit.
-
-        The query block is cut into ``query_slices`` contiguous row bands
-        and fanned over an ``n_shards × query_slices`` grid (cell
-        ``(r, c)`` answers slice ``c`` against shard ``r``; the front-end
-        is device 0). Scatter, per-slice reduce to the slice leader
-        ``(0, c)``, and the final gather are each priced through the
-        interconnect via :func:`~repro.gpusim.simulate_transfer` (so link
-        faults, metrics, and trace events all apply) and folded onto the
-        same rendezvous clock as :func:`repro.dist.plan.schedule_seconds`.
-        Results are bit-identical to :meth:`kneighbors` for every
-        ``query_slices``; only the returned report changes.
-        """
-        if n_neighbors <= 0:
-            raise ValueError(
-                f"n_neighbors must be positive, got {n_neighbors!r}")
-        if query_slices <= 0:
-            raise ValueError(
-                f"query_slices must be positive, got {query_slices!r}")
-        queries = self.prepare_queries(x)
-        if query_slices > queries.n_rows:
-            raise ValueError(
-                f"cannot cut {queries.n_rows} query rows into "
-                f"{query_slices} slices")
-        k = min(int(n_neighbors), self.n_rows)
-        rows, cols = self.n_shards, int(query_slices)
-        spec = get_interconnect(interconnect, rows * cols)
-        slice_ids = np.array_split(
-            np.arange(queries.n_rows, dtype=np.int64), cols)
-        slice_ops = [queries.take_rows(ids) for ids in slice_ids]
-        n_norm_kinds = len(queries.norms or ())
-
-        clocks = [0.0] * (rows * cols)
-        comm_seconds = 0.0
-        bytes_by_phase: Dict[str, int] = {
-            "scatter": 0, "reduce": 0, "gather": 0}
-        n_comm_steps = 0
-
-        def _transfer(phase: str, nbytes: int, src: int, dst: int) -> None:
-            nonlocal comm_seconds, n_comm_steps
-            transfer = simulate_transfer(spec, int(nbytes), src, dst)
-            t0 = max(clocks[src], clocks[dst])
-            clocks[src] = clocks[dst] = t0 + transfer.seconds
-            comm_seconds += transfer.seconds
-            bytes_by_phase[phase] += transfer.nbytes
-            n_comm_steps += 1
-
-        # Empty shards (the mutable index's drained generations) hold no
-        # candidates: no scatter, no compute lane, no reduce step.
-        live = [r for r in range(rows) if self.shards[r].n_rows > 0]
-
-        # Scatter: the front-end ships slice c's prepared panel to every
-        # cell that computes on it (cell (0, 0) already holds it).
-        for c, op in enumerate(slice_ops):
-            nbytes = operand_panel_nbytes(
-                op.n_rows, op.csr.nnz, n_norm_kinds=n_norm_kinds)
-            for r in live:
-                device = r * cols + c
-                if device != 0:
-                    _transfer("scatter", nbytes, 0, device)
-
-        # Compute: one single-device fan-out cell per (live shard, slice).
-        cells = [(r, c) for r in live for c in range(cols)]
-        parts = dict(zip(cells, fan_out(
-            lambda cell: self.query_shard(cell[0], slice_ops[cell[1]], k,
-                                          **executor_kwargs),
-            cells, n_workers)))
-        compute_seconds = []
-        cell_reports: Dict[Tuple[int, int], PlanExecutionReport] = {}
-        for r, c in cells:
-            report = parts[(r, c)][2]
-            cell_reports[(r, c)] = report
-            compute_seconds.append(report.simulated_seconds)
-            clocks[r * cols + c] += report.simulated_seconds
-
-        # Reduce: every non-leader cell sends its partial top-k (actual
-        # width — overlays may widen shard_k) to the slice leader (0, c).
-        for c in range(cols):
-            for r in live:
-                if r != 0:
-                    distances = parts[(r, c)][0]
-                    _transfer("reduce", distances.size * TOPK_PAIR_BYTES,
-                              r * cols + c, c)
-
-        merged = [
-            ShardedIndex.merge_shard_topk(
-                [(parts[(r, c)][0], parts[(r, c)][1]) for r in live],
-                slice_ops[c].n_rows, k)
-            for c in range(cols)]
-
-        # Gather: slice leaders ship merged slabs back to the front-end.
-        for c in range(1, cols):
-            _transfer("gather",
-                      slice_ops[c].n_rows * k * TOPK_PAIR_BYTES, c, 0)
-
-        out_d = np.concatenate([d for d, _ in merged], axis=0)
-        out_i = np.concatenate([i for _, i in merged], axis=0)
-        report = DistributedQueryReport(
-            simulated_seconds=max(clocks),
-            comm_seconds=comm_seconds,
-            comm_bytes_total=sum(bytes_by_phase.values()),
-            bytes_by_phase=dict(bytes_by_phase),
-            n_comm_steps=n_comm_steps,
-            grid_rows=rows, grid_cols=cols,
-            interconnect=spec.name,
-            compute_seconds=tuple(compute_seconds),
-            cell_reports=cell_reports)
-        return out_d, out_i, report
 
     # ------------------------------------------------------------------
     def save(self, path) -> None:
