@@ -130,6 +130,9 @@ class LoadBalancedCooKernel(PairwiseKernel):
     name = "hybrid_coo"
     row_cache_strategies = ("auto", "dense", "hash", "bloom")
     tunable = True
+    #: threads per block: one block stages one row (or row segment) of
+    #: the cached operand and streams the other
+    BLOCK_THREADS = 1024
     #: paper: "our design uses less than 32" registers per thread
     REGS_PER_THREAD = 31
     #: staged blocks whose hash tables the probe sampler builds
@@ -138,13 +141,11 @@ class LoadBalancedCooKernel(PairwiseKernel):
     RNG_SEED = 0
 
     def __init__(self, spec: DeviceSpec = VOLTA_V100, *,
-                 row_cache: str = "auto", block_threads: int = 1024,
-                 stats_sample_queries: int = 32768):
+                 row_cache: str = "auto", stats_sample_queries: int = 32768):
         super().__init__(spec)
         if row_cache != "auto":
             row_cache = RowCacheStrategy(row_cache)
         self.row_cache = row_cache
-        self.block_threads = int(block_threads)
         self.stats_sample_queries = int(stats_sample_queries)
 
     # ------------------------------------------------------------------
@@ -293,7 +294,7 @@ class LoadBalancedCooKernel(PairwiseKernel):
         # gpusim.launch event lands on it.
         return Launch(
             stats, grid_blocks=prof.n_blocks,
-            block_threads=self.block_threads,
+            block_threads=self.BLOCK_THREADS,
             smem_per_block=prof.smem_per_block,
             regs_per_thread=self.REGS_PER_THREAD, profile=prof,
             span="kernel.pass2" if second_pass else "kernel.pass1",

@@ -24,7 +24,6 @@ from repro.core.semiring import Semiring
 from repro.errors import KernelLaunchError
 from repro.gpusim.executor import Launch, LaunchSchedule
 from repro.gpusim.memory import coalesced_transactions
-from repro.gpusim.specs import DeviceSpec, VOLTA_V100
 from repro.gpusim.stats import KernelStats
 from repro.kernels.base import PairwiseKernel, product_cost_profile
 from repro.sparse.csr import CSRMatrix
@@ -40,11 +39,8 @@ class ExpandSortContractKernel(PairwiseKernel):
     """One block per pair: expand into smem, sort-by-key, contract."""
 
     name = "expand_sort_contract"
-
-    def __init__(self, spec: DeviceSpec = VOLTA_V100, *,
-                 block_threads: int = 128):
-        super().__init__(spec)
-        self.block_threads = int(block_threads)
+    #: threads per block; each block expands, sorts and contracts one pair
+    BLOCK_THREADS = 128
 
     def schedule(self, a: CSRMatrix, b: CSRMatrix,
                  semiring: Semiring) -> LaunchSchedule:
@@ -58,7 +54,7 @@ class ExpandSortContractKernel(PairwiseKernel):
                 "paper's §3.2.1 'severe limit to scale'")
         return LaunchSchedule((Launch(
             self._count(a, b, semiring), grid_blocks=a.n_rows * b.n_rows,
-            block_threads=self.block_threads, smem_per_block=smem,
+            block_threads=self.BLOCK_THREADS, smem_per_block=smem,
             regs_per_thread=32),))
 
     # ------------------------------------------------------------------

@@ -21,7 +21,6 @@ import numpy as np
 from repro.core.semiring import Semiring
 from repro.gpusim.executor import Launch, LaunchSchedule
 from repro.gpusim.memory import coalesced_transactions, uncoalesced_transactions
-from repro.gpusim.specs import DeviceSpec, VOLTA_V100
 from repro.gpusim.stats import KernelStats
 from repro.kernels.base import PairwiseKernel, product_cost_profile
 from repro.sparse.csr import CSRMatrix
@@ -33,11 +32,8 @@ class NaiveCsrKernel(PairwiseKernel):
     """One thread per output element, exhaustive sorted-nonzero merge."""
 
     name = "naive_csr"
-
-    def __init__(self, spec: DeviceSpec = VOLTA_V100, *,
-                 block_threads: int = 256):
-        super().__init__(spec)
-        self.block_threads = int(block_threads)
+    #: threads per block, one output element each
+    BLOCK_THREADS = 256
 
     def schedule(self, a: CSRMatrix, b: CSRMatrix,
                  semiring: Semiring) -> LaunchSchedule:
@@ -47,8 +43,8 @@ class NaiveCsrKernel(PairwiseKernel):
         pairs = a.n_rows * b.n_rows
         return LaunchSchedule((Launch(
             self._count(a, b, semiring),
-            grid_blocks=max(1, -(-pairs // self.block_threads)),
-            block_threads=self.block_threads, regs_per_thread=40),))
+            grid_blocks=max(1, -(-pairs // self.BLOCK_THREADS)),
+            block_threads=self.BLOCK_THREADS, regs_per_thread=40),))
 
     # ------------------------------------------------------------------
     def _count(self, a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> KernelStats:
