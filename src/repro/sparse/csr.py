@@ -16,7 +16,7 @@ segmented reduction in Algorithm 3 both rely on that invariant.
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -145,11 +145,6 @@ class CSRMatrix:
             raise IndexError(f"row {i} out of range for {self._shape[0]} rows")
         lo, hi = self.indptr[i], self.indptr[i + 1]
         return self.indices[lo:hi], self.data[lo:hi]
-
-    def iter_rows(self) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(columns, values)`` for every row in order."""
-        for i in range(self._shape[0]):
-            yield self.row(i)
 
     def slice_rows(self, start: int, stop: int) -> "CSRMatrix":
         """Return rows ``start:stop`` as a new CSR matrix (copies arrays)."""

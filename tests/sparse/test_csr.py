@@ -87,12 +87,6 @@ class TestAccessors:
         with pytest.raises(IndexError):
             csr.row(2)
 
-    def test_iter_rows(self, rng):
-        csr = random_csr(rng, 6, 8)
-        dense = csr.to_dense()
-        for i, (cols, vals) in enumerate(csr.iter_rows()):
-            np.testing.assert_allclose(dense[i, cols], vals)
-
     def test_degrees(self):
         csr = CSRMatrix.from_dense([[1, 1, 0], [0, 0, 0], [1, 1, 1]])
         np.testing.assert_array_equal(csr.row_degrees(), [2, 0, 3])
