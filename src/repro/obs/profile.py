@@ -15,15 +15,15 @@ time — the ``plan.execute`` root's makespan — is normalized to its
 children's serial sum. Profiling the serial and the 4-worker execution of
 one plan yields byte-identical flamegraphs, category tables, and roofline
 reports (asserted in ``tests/obs/test_profile.py``); the schedule enters
-only through :meth:`Profile.critical_path`, which *recomputes* the
-executor's round-robin lane model for any requested worker count from the
-per-tile simulated seconds.
+only through :meth:`Profile.critical_path`, which folds the per-tile
+simulated seconds through the executor's own :func:`round_robin_lanes` for
+any requested worker count.
 
 Outputs:
 
 - :meth:`Profile.critical_path` — the lane whose simulated time equals
-  ``PlanExecutionReport.simulated_seconds`` (exact float equality: lane
-  sums accumulate in the executor's tile order);
+  ``PlanExecutionReport.simulated_seconds`` (exact float equality by
+  construction: both are folded by :func:`round_robin_lanes`);
 - :meth:`Profile.categories` — per-category self/total simulated time;
 - :meth:`Profile.folded_stacks` — ``name;name;name weight`` lines
   (weight = self time in integer nanoseconds), loadable by speedscope,
@@ -39,13 +39,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.tracer import Span, Tracer
 
 __all__ = ["Profile", "CategoryTime", "CriticalPath", "CriticalStep",
            "LaunchRecord", "StrategyRoofline", "TileAttribution",
-           "RooflineReport", "write_folded", "span_critical_path"]
+           "RooflineReport", "write_folded", "span_critical_path",
+           "round_robin_lanes"]
 
 #: roofline attribution classes, in display order
 LIMITED_CLASSES = ("compute", "memory", "occupancy")
@@ -243,6 +244,24 @@ class RooflineReport:
         return "\n".join(lines)
 
 
+def round_robin_lanes(tile_seconds: Sequence[float],
+                      n_workers: int) -> List[float]:
+    """Per-lane simulated seconds of the executor's N-worker schedule.
+
+    Worker ``w`` runs tiles ``w, w + N, …`` back to back, so lane ``w``
+    sums their seconds in tile order and the plan takes as long as its
+    largest lane; one worker's lane is a plain ``sum``. The plan executor,
+    its estimator and :func:`span_critical_path` all fold through this one
+    function.
+    """
+    if n_workers == 1:
+        return [float(sum(tile_seconds))]
+    lanes = [0.0] * n_workers
+    for i, s in enumerate(tile_seconds):
+        lanes[i % n_workers] += s
+    return lanes
+
+
 def span_critical_path(plan_span: Span,
                        n_workers: Optional[int] = None) -> CriticalPath:
     """The round-robin lane setting one plan span's makespan.
@@ -250,12 +269,10 @@ def span_critical_path(plan_span: Span,
     Works on any ``plan.execute``-shaped span (tile-category children
     plus a serial prologue), wherever it sits in a larger trace — the
     ops console uses this to recover a serve batch's per-shard critical
-    path from the shard's nested plan span. Recomputed from per-tile
-    simulated seconds with the executor's exact schedule (ordinal ``i``
-    → lane ``i % N``, lane sums accumulate in tile order; the serial
-    path is a plain ``sum``), so ``sim_seconds`` equals
-    ``PlanExecutionReport.simulated_seconds`` to the last bit for the
-    matching worker count.
+    path from the shard's nested plan span. The per-tile simulated seconds
+    go through the executor's :func:`round_robin_lanes`, so
+    ``sim_seconds`` equals ``PlanExecutionReport.simulated_seconds`` to
+    the last bit for the matching worker count.
     """
     if n_workers is None:
         n_workers = int(plan_span.args.get("n_workers", 1) or 1)
@@ -271,13 +288,7 @@ def span_critical_path(plan_span: Span,
                             prologue_seconds=prologue, steps=())
 
     seconds = [float(s.sim_seconds or 0.0) for s in tiles]
-    if n_workers == 1:
-        # the executor's serial path is sum(), not a lane fold
-        lane_time = [float(sum(seconds))]
-    else:
-        lane_time = [0.0] * n_workers
-        for i, s in enumerate(seconds):
-            lane_time[i % n_workers] += s
+    lane_time = round_robin_lanes(seconds, n_workers)
     lane = max(range(len(lane_time)), key=lambda w: (lane_time[w], -w))
     steps = tuple(
         CriticalStep(name=span.name,
@@ -319,9 +330,8 @@ class Profile:
     def critical_path(self, n_workers: Optional[int] = None) -> CriticalPath:
         """The round-robin lane that sets the makespan for ``n_workers``.
 
-        Recomputed from per-tile simulated seconds with the executor's
-        exact schedule (ordinal ``i`` → lane ``i % N``, lanes accumulate
-        in tile order), so ``sim_seconds`` equals
+        Folded from per-tile simulated seconds by the executor's
+        :func:`round_robin_lanes`, so ``sim_seconds`` equals
         ``PlanExecutionReport.simulated_seconds`` to the last bit for the
         matching worker count — and the answer is the same no matter how
         many workers the *traced* run used. ``n_workers=None`` uses the

@@ -68,6 +68,7 @@ from repro.gpusim.stats import KernelStats
 from repro.gpusim.tiles import TileAccountant, TileLaunchRecord
 from repro.kernels.host import HostKernel
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import round_robin_lanes
 from repro.obs.record import observer
 from repro.obs.tracer import NULL_SPAN, Tracer, get_default_tracer
 from repro.plan.consumers import DenseBlockConsumer, TileConsumer
@@ -329,8 +330,8 @@ class PlanExecutor:
             plan.kernel.last_schedule = last_schedule
 
         serial = norms_seconds + float(sum(tile_seconds))
-        makespan = norms_seconds + _round_robin_makespan(tile_seconds,
-                                                         self.n_workers)
+        makespan = norms_seconds + max(round_robin_lanes(tile_seconds,
+                                                         self.n_workers))
         report = PlanExecutionReport(
             value=consumer.result(), stats=stats, simulated_seconds=makespan,
             serial_seconds=serial, n_tiles=len(tiles),
@@ -574,20 +575,6 @@ class PlanExecutor:
             schedule=parts[-1].schedule)
 
 
-def _round_robin_makespan(tile_seconds: List[float], n_workers: int) -> float:
-    """Deterministic N-worker schedule length: worker ``w`` runs tiles
-    ``w, w + N, …`` back to back; the plan takes as long as its slowest
-    worker."""
-    if not tile_seconds:
-        return 0.0
-    if n_workers == 1:
-        return float(sum(tile_seconds))
-    lanes = [0.0] * n_workers
-    for i, s in enumerate(tile_seconds):
-        lanes[i % n_workers] += s
-    return float(max(lanes))
-
-
 def _has_epilogue(measure) -> bool:
     """Whether tiles pay the expansion/finalize epilogue launch."""
     return measure.kind == EXPANDED or measure.finalize is not None
@@ -645,7 +632,7 @@ def estimate_execution_seconds(plan: PairwisePlan, *,
             seconds += _epilogue_launch(
                 tile.rows_a * tile.rows_b).price(plan.spec).seconds
         tile_seconds.append(seconds)
-    total = _round_robin_makespan(tile_seconds, int(n_workers))
+    total = max(round_robin_lanes(tile_seconds, int(n_workers)))
     norms = _norms_launch(plan)
     if tile_seconds and norms is not None:
         total += norms.price(plan.spec).seconds
