@@ -1,33 +1,20 @@
 """Figure 1: CDFs of the row-degree distributions (0-99th percentile).
 
 Regenerates the figure's series for the four benchmark datasets as a text
-report (degree at each decile) and asserts the scaled analogues of the
+report (degree at the figure's quantiles) and asserts the scaled analogues of the
 facts the paper anchors to the figure.
 """
 
 import numpy as np
 
-from repro.bench import BENCH_SCALES, bench_dataset, render_table, save_report
-from repro.datasets.degree import degree_cdf, degree_percentile, fraction_below
-
-DATASETS = ("movielens", "sec_edgar", "scrna", "nytimes")
-QS = (0.10, 0.25, 0.50, 0.75, 0.88, 0.95, 0.98, 0.99)
-
-
-def _series():
-    rows = []
-    for name in DATASETS:
-        m = bench_dataset(name).matrix
-        rows.append([name] + [f"{degree_percentile(m, q):.0f}" for q in QS])
-    return rows
+from repro.bench import bench_dataset, save_report
+from repro.bench.__main__ import DATASETS, fig1_cells, render_fig1
+from repro.datasets.degree import degree_cdf, fraction_below
 
 
 def test_fig1_degree_cdfs(benchmark):
-    rows = benchmark.pedantic(_series, rounds=1, iterations=1)
-    report = render_table(
-        ["dataset"] + [f"p{int(q * 100)}" for q in QS], rows,
-        title="Figure 1 — degree distribution quantiles (benchmark scale)")
-    save_report("fig1_degree_cdf", report)
+    cells = benchmark.pedantic(fig1_cells, rounds=1, iterations=1)
+    save_report("fig1_degree_cdf", render_fig1(cells))
 
     ml = bench_dataset("movielens").matrix
     sec = bench_dataset("sec_edgar").matrix

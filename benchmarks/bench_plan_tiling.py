@@ -12,8 +12,8 @@ full-block allocation, while distances and indices stay bit-identical.
 
 import numpy as np
 
-from repro.bench import render_table, save_report
-from repro.bench.runner import bench_dataset, run_plan_cell
+from repro.bench import bench_dataset, save_report
+from repro.bench.__main__ import plan_cells, render_plan
 from repro.core.pairwise import pairwise_distances
 from repro.neighbors.brute_force import NearestNeighbors
 from repro.neighbors.topk import select_topk
@@ -23,26 +23,11 @@ DATASET = "movielens"
 METRIC = "cosine"
 
 
-def _cells():
-    mono = run_plan_cell(DATASET, METRIC)
-    tiled = run_plan_cell(DATASET, METRIC, n_tiles_target=4)
-    tiled4 = run_plan_cell(DATASET, METRIC, n_tiles_target=4, n_workers=4)
-    return mono, tiled, tiled4
-
-
 def test_tiled_peak_below_monolithic(benchmark):
-    mono, tiled, tiled4 = benchmark.pedantic(_cells, rounds=1, iterations=1)
-
-    table = [[c.mode, str(c.n_tiles), str(c.n_workers),
-              f"{c.peak_resident_bytes / 2**20:.2f} MiB",
-              f"{c.resident_fraction:.0%}",
-              f"{c.simulated_seconds * 1e3:.2f}ms"]
-             for c in (mono, tiled, tiled4)]
-    report = render_table(
-        ["mode", "tiles", "workers", "peak resident", "vs full block",
-         "sim seconds"], table,
-        title=f"Plan tiling — {DATASET}/{METRIC} (simulated V100)")
-    save_report("plan_tiling", report)
+    cells = benchmark.pedantic(plan_cells, args=(DATASET, METRIC),
+                               rounds=1, iterations=1)
+    save_report("plan_tiling", render_plan(cells))
+    mono, tiled, tiled4 = cells
 
     # The acceptance criterion: a 4-tile budget keeps the k-NN query's peak
     # simulated footprint strictly below the monolithic full-block bytes.

@@ -5,40 +5,14 @@ scale, side by side with the published full-scale numbers, and asserts the
 scale-invariant structural facts.
 """
 
-from repro.bench import BENCH_SCALES, bench_dataset, render_table, save_report
-from repro.datasets.synthetic import DATASET_PAPER_FACTS, available_datasets
-
-
-def _rows():
-    rows = []
-    for name in available_datasets():
-        ds = bench_dataset(name)
-        paper = DATASET_PAPER_FACTS[name]
-        row = ds.summary_row()
-        rows.append([
-            name,
-            f"{row['size'][0]}x{row['size'][1]}",
-            f"{row['density']:.4%}",
-            str(row["min_deg"]),
-            str(row["max_deg"]),
-            f"{paper.shape[0] // 1000}Kx{paper.shape[1] // 1000}K",
-            f"{paper.density:.4%}",
-            str(paper.min_degree),
-            str(paper.max_degree),
-            f"1/{BENCH_SCALES[name]:g}",
-        ])
-    return rows
+from repro.bench import bench_dataset, save_report
+from repro.bench.__main__ import render_table2, table2_cells
 
 
 def test_table2_datasets(benchmark):
-    rows = benchmark.pedantic(_rows, rounds=1, iterations=1)
-    report = render_table(
-        ["dataset", "size", "density", "min", "max",
-         "paper size", "paper dens", "p.min", "p.max", "scale"],
-        rows, title="Table 2 — datasets (benchmark scale vs paper)")
-    save_report("table2_datasets", report)
+    datasets = benchmark.pedantic(table2_cells, rounds=1, iterations=1)
+    save_report("table2_datasets", render_table2(datasets))
 
-    by_name = {r[0]: r for r in rows}
     # Scale-invariant facts: the density *ordering* of the paper's Table 2.
     def density(name):
         return bench_dataset(name).density

@@ -12,59 +12,22 @@ seconds and asserts the paper's headline shape:
   datasets (the paper won 2 of 4 and was comparable on the rest).
 """
 
-import pytest
-
-from repro.bench import (
-    bold_min,
-    format_seconds,
-    render_table,
-    run_baseline_cell,
-    run_knn_cell,
-    save_report,
-)
+from repro.bench import save_report
+from repro.bench.__main__ import DATASETS, render_table3, table3_cells
 from repro.core.distances import DOT_PRODUCT_DISTANCES, NAMM_DISTANCES
 
-DATASETS = ("movielens", "scrna", "nytimes", "sec_edgar")
-
 _CELLS = {}
-
-
-def _family_cells(metrics):
-    out = {}
-    for metric in metrics:
-        for ds in DATASETS:
-            ours = run_knn_cell(ds, metric, "hybrid_coo", row_cache="hash")
-            base = run_baseline_cell(ds, metric)
-            out[(metric, ds)] = (base, ours)
-    return out
 
 
 def _maybe_write_report():
     """Emit the full Table 3 once both family sweeps have populated it."""
     if len(_CELLS) < len(DATASETS) * 14:
         return
-    headers = ["group", "distance"]
-    for ds in DATASETS:
-        headers += [f"{ds} base", f"{ds} RAFT"]
-    rows = []
-    for group, metrics in (("dot", DOT_PRODUCT_DISTANCES),
-                           ("non-trivial", NAMM_DISTANCES)):
-        for metric in metrics:
-            row = [group, metric]
-            for ds in DATASETS:
-                base, ours = _CELLS[(metric, ds)]
-                pair = [base.simulated_seconds, ours.simulated_seconds]
-                row += bold_min(pair, [format_seconds(v) for v in pair])
-            rows.append(row)
-    report = render_table(
-        headers, rows,
-        title="Table 3 — end-to-end kNN, simulated V100 seconds "
-              "(*winner*; baseline = csrgemm or naive CSR per paper §4.1)")
-    save_report("table3_runtime", report)
+    save_report("table3_runtime", render_table3(_CELLS))
 
 
 def test_table3_dot_product_family(benchmark):
-    cells = benchmark.pedantic(_family_cells, args=(DOT_PRODUCT_DISTANCES,),
+    cells = benchmark.pedantic(table3_cells, args=(DOT_PRODUCT_DISTANCES,),
                                rounds=1, iterations=1)
     _CELLS.update(cells)
     _maybe_write_report()
@@ -82,7 +45,7 @@ def test_table3_dot_product_family(benchmark):
 
 
 def test_table3_namm_family(benchmark):
-    cells = benchmark.pedantic(_family_cells, args=(NAMM_DISTANCES,),
+    cells = benchmark.pedantic(table3_cells, args=(NAMM_DISTANCES,),
                                rounds=1, iterations=1)
     _CELLS.update(cells)
     _maybe_write_report()

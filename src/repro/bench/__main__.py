@@ -9,6 +9,11 @@ Each report is printed and saved under ``benchmarks/results/``; the
 ``compare`` subcommand (see :mod:`repro.bench.compare`) diffs the
 machine-readable ``BENCH_*.json`` payloads against the committed
 ``benchmarks/baselines/`` and exits nonzero on regression.
+
+The paper's tables (``table2``, ``fig1``, ``table3``, ``speedup``,
+``plan``) are each one ``*_cells`` function and one ``render_*`` function
+over its cells; the ``benchmarks/bench_*.py`` suites call the same pair
+and assert the paper's claims on the cells.
 """
 
 from __future__ import annotations
@@ -17,10 +22,12 @@ import argparse
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.reporting import results_dir, save_json, save_report
 from repro.bench.runner import (
+    BenchCell,
+    PlanCell,
     bench_dataset,
     cell_payload,
     fit_and_query,
@@ -40,8 +47,19 @@ from repro.bench.runner import (
 )
 from repro.bench.tables import bold_min, format_seconds, render_table
 from repro.core.distances import DOT_PRODUCT_DISTANCES, NAMM_DISTANCES
+from repro.datasets.synthetic import SyntheticDataset
 
 DATASETS = ("movielens", "scrna", "nytimes", "sec_edgar")
+
+#: the two distance families of Table 3 and §4.2, in display order
+FAMILIES = (("dot", DOT_PRODUCT_DISTANCES), ("non-trivial", NAMM_DISTANCES))
+
+#: §4.2's measured average GPU-over-CPU speedup per family
+PAPER_SPEEDUP = {"dot": 28.78, "non-trivial": 29.17}
+
+#: degree quantiles Figure 1 is read at, including the ones its claims
+#: cite (88% of MovieLens rows, 98% of scRNA rows)
+FIG1_QUANTILES = (0.10, 0.25, 0.50, 0.75, 0.88, 0.90, 0.95, 0.98, 0.99)
 
 
 @dataclass
@@ -67,100 +85,164 @@ def report(name: str):
     return register
 
 
+def table2_cells() -> List[SyntheticDataset]:
+    """The benchmark-scale replica of every dataset, in table order."""
+    return [bench_dataset(name) for name in DATASETS]
+
+
+def render_table2(datasets: Sequence[SyntheticDataset]) -> str:
+    """Table 2: each replica beside the paper's full-scale dataset."""
+    rows = []
+    for ds in datasets:
+        row, paper = ds.summary_row(), ds.paper
+        rows.append([
+            row["dataset"], f"{row['size'][0]}x{row['size'][1]}",
+            f"{row['density']:.4%}", str(row["min_deg"]), str(row["max_deg"]),
+            f"{paper.shape[0] // 1000}Kx{paper.shape[1] // 1000}K",
+            f"{paper.density:.4%}", str(paper.min_degree),
+            str(paper.max_degree), f"1/{ds.scale:g}"])
+    return render_table(["dataset", "size", "density", "min", "max",
+                         "paper size", "paper density", "p.min", "p.max",
+                         "scale"], rows, title="Table 2 — datasets")
+
+
 @report("table2")
 def report_table2() -> str:
-    from repro.datasets.synthetic import DATASET_PAPER_FACTS
+    return render_table2(table2_cells())
 
-    rows = []
-    for name in DATASETS:
-        ds = bench_dataset(name)
-        paper = DATASET_PAPER_FACTS[name]
-        rows.append([name, f"{ds.shape[0]}x{ds.shape[1]}",
-                     f"{ds.density:.4%}", str(ds.matrix.min_degree()),
-                     str(ds.matrix.max_degree()),
-                     f"{paper.shape[0] // 1000}Kx{paper.shape[1] // 1000}K",
-                     f"{paper.density:.4%}"])
-    return render_table(["dataset", "size", "density", "min", "max",
-                         "paper size", "paper density"], rows,
-                        title="Table 2 — datasets")
+
+def fig1_cells() -> Dict[str, List[float]]:
+    """Row degree at each of :data:`FIG1_QUANTILES`, per dataset."""
+    from repro.datasets.degree import degree_percentile
+
+    return {name: [degree_percentile(bench_dataset(name).matrix, q)
+                   for q in FIG1_QUANTILES] for name in DATASETS}
+
+
+def render_fig1(cells: Dict[str, List[float]]) -> str:
+    """Figure 1 as one row of degree quantiles per dataset."""
+    rows = [[name] + [f"{v:.0f}" for v in values]
+            for name, values in cells.items()]
+    return render_table(
+        ["dataset"] + [f"p{int(q * 100)}" for q in FIG1_QUANTILES], rows,
+        title="Figure 1 — degree quantiles")
 
 
 @report("fig1")
 def report_fig1() -> str:
-    from repro.datasets.degree import degree_percentile
-
-    qs = (0.25, 0.5, 0.75, 0.9, 0.95, 0.99)
-    rows = [[name] + [f"{degree_percentile(bench_dataset(name).matrix, q):.0f}"
-                      for q in qs] for name in DATASETS]
-    return render_table(["dataset"] + [f"p{int(q * 100)}" for q in qs], rows,
-                        title="Figure 1 — degree quantiles")
+    return render_fig1(fig1_cells())
 
 
-@report("table3")
-def report_table3() -> str:
+def table3_cells(metrics: Sequence[str],
+                 ) -> Dict[Tuple[str, str], Tuple[BenchCell, BenchCell]]:
+    """``(baseline, ours)`` per ``(metric, dataset)``: the paper's baseline
+    engine (csrgemm or naive CSR, §4.1) against the hybrid kernel with the
+    hash row cache."""
+    cells = {}
+    for metric in metrics:
+        for ds in DATASETS:
+            cells[(metric, ds)] = (
+                run_baseline_cell(ds, metric),
+                run_knn_cell(ds, metric, "hybrid_coo", row_cache="hash"))
+        print(f"  ... {metric} done", file=sys.stderr)
+    return cells
+
+
+def render_table3(
+        cells: Dict[Tuple[str, str], Tuple[BenchCell, BenchCell]]) -> str:
+    """Table 3: baseline vs ours per cell, the faster one starred."""
     headers = ["group", "distance"]
     for ds in DATASETS:
         headers += [f"{ds} base", f"{ds} RAFT"]
     rows = []
-    for group, metrics in (("dot", DOT_PRODUCT_DISTANCES),
-                           ("non-trivial", NAMM_DISTANCES)):
+    for group, metrics in FAMILIES:
         for metric in metrics:
             row = [group, metric]
             for ds in DATASETS:
-                base = run_baseline_cell(ds, metric)
-                ours = run_knn_cell(ds, metric, "hybrid_coo",
-                                    row_cache="hash")
-                pair = [base.simulated_seconds, ours.simulated_seconds]
+                pair = [cell.simulated_seconds for cell in cells[(metric, ds)]]
                 row += bold_min(pair, [format_seconds(v) for v in pair])
             rows.append(row)
-            print(f"  ... {metric} done", file=sys.stderr)
     return render_table(headers, rows,
                         title="Table 3 — end-to-end kNN (simulated V100)")
 
 
-@report("speedup")
-def report_speedup() -> str:
-    rows = []
-    for group, metrics in (("dot", DOT_PRODUCT_DISTANCES),
-                           ("non-trivial", NAMM_DISTANCES)):
-        speeds = []
+@report("table3")
+def report_table3() -> str:
+    return render_table3(table3_cells(DOT_PRODUCT_DISTANCES + NAMM_DISTANCES))
+
+
+def speedup_cells() -> Dict[str, List[Tuple[str, str, float]]]:
+    """``(metric, dataset, speedup)`` per family: modeled CPU seconds over
+    the hybrid kernel's simulated seconds, for every §4.2 cell."""
+    cells = {}
+    for group, metrics in FAMILIES:
+        cells[group] = []
         for metric in metrics:
             for ds in DATASETS:
                 gpu = run_knn_cell(ds, metric, "hybrid_coo",
                                    row_cache="hash")
                 cpu = run_cpu_cell(ds, metric)
-                speeds.append(cpu.simulated_seconds / gpu.simulated_seconds)
+                cells[group].append(
+                    (metric, ds,
+                     cpu.simulated_seconds / gpu.simulated_seconds))
+    return cells
+
+
+def render_speedup(cells: Dict[str, List[Tuple[str, str, float]]]) -> str:
+    """§4.2: each family's mean speedup beside the paper's, then every
+    cell."""
+    rows = []
+    for group, _ in FAMILIES:
+        speeds = [s for _, _, s in cells[group]]
         rows.append([group, f"{sum(speeds) / len(speeds):.2f}x",
-                     "28.78x" if group == "dot" else "29.17x"])
-    return render_table(["family", "measured avg speedup", "paper"],
-                        rows, title="§4.2 — GPU speedup vs CPU")
+                     f"{PAPER_SPEEDUP[group]:.2f}x"])
+    content = render_table(["family", "measured avg speedup", "paper"],
+                           rows, title="§4.2 — GPU speedup vs CPU")
+    per_cell = [[metric, ds, f"{s:.1f}x"] for group, _ in FAMILIES
+                for metric, ds, s in cells[group]]
+    return content + "\n\n" + render_table(
+        ["distance", "dataset", "GPU speedup vs CPU"], per_cell,
+        title="§4.2 — per-cell GPU speedup vs CPU")
+
+
+@report("speedup")
+def report_speedup() -> str:
+    return render_speedup(speedup_cells())
+
+
+def plan_cells(dataset: str, metric: str) -> List[PlanCell]:
+    """One k-NN query run monolithically, on a 4-tile budget, and on the
+    same budget with 4 workers."""
+    return [run_plan_cell(dataset, metric),
+            run_plan_cell(dataset, metric, n_tiles_target=4),
+            run_plan_cell(dataset, metric, n_tiles_target=4, n_workers=4)]
+
+
+def render_plan(cells: Sequence[PlanCell]) -> str:
+    """One row per plan cell: tiles, workers, peak residency, time."""
+    def fmt_bytes(b: float) -> str:
+        return (f"{b / 2**20:.1f} MiB" if b >= 2**20
+                else f"{b / 2**10:.1f} KiB")
+
+    rows = [[cell.dataset, cell.metric, cell.mode, str(cell.n_tiles),
+             str(cell.n_workers), fmt_bytes(cell.peak_resident_bytes),
+             f"{cell.resident_fraction:.0%}",
+             format_seconds(cell.simulated_seconds)] for cell in cells]
+    return render_table(
+        ["dataset", "metric", "mode", "tiles", "workers", "peak resident",
+         "vs full block", "sim seconds"], rows,
+        title="Execution plans — tiled vs monolithic (simulated V100)")
 
 
 @report("plan")
 def report_plan() -> str:
     """Tiled vs monolithic execution plans: memory and modeled time."""
-    def fmt_bytes(b: float) -> str:
-        return (f"{b / 2**20:.1f} MiB" if b >= 2**20
-                else f"{b / 2**10:.1f} KiB")
-
-    rows = []
+    cells = []
     for ds in DATASETS:
         for metric in ("cosine", "manhattan"):
-            cells = [run_plan_cell(ds, metric),
-                     run_plan_cell(ds, metric, n_tiles_target=4),
-                     run_plan_cell(ds, metric, n_tiles_target=4,
-                                   n_workers=4)]
-            for cell in cells:
-                rows.append([ds, metric, cell.mode, str(cell.n_tiles),
-                             str(cell.n_workers),
-                             fmt_bytes(cell.peak_resident_bytes),
-                             f"{cell.resident_fraction:.0%}",
-                             format_seconds(cell.simulated_seconds)])
+            cells += plan_cells(ds, metric)
         print(f"  ... {ds} done", file=sys.stderr)
-    return render_table(
-        ["dataset", "metric", "mode", "tiles", "workers", "peak resident",
-         "vs full block", "sim seconds"], rows,
-        title="Execution plans — tiled vs monolithic (simulated V100)")
+    return render_plan(cells)
 
 
 @report("faults")
