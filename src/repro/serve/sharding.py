@@ -44,7 +44,7 @@ from repro.gpusim.specs import DeviceSpec, get_device
 from repro.neighbors.topk import TopKAccumulator
 from repro.plan.autotune import TuningChoice
 from repro.plan.consumers import TopKConsumer
-from repro.plan.executor import PlanExecutionReport, PlanExecutor
+from repro.plan.executor import PlanExecutor
 from repro.plan.pairwise_plan import (
     PairwisePlan,
     PreparedOperand,
@@ -314,22 +314,21 @@ class ShardedIndex:
 
     def query_shard(self, shard_id: int, queries: PreparedOperand,
                     k: int, **executor_kwargs,
-                    ) -> Tuple[np.ndarray, np.ndarray, PlanExecutionReport]:
+                    ) -> Tuple[np.ndarray, np.ndarray]:
         """Top-k of one shard, with local ids remapped to global.
 
-        Returns ``(distances, global_indices, report)``; ``k`` is clamped
-        to the shard's row count. Extra keyword arguments go to the
+        Returns ``(distances, global_indices)``; ``k`` is clamped to the
+        shard's row count. Extra keyword arguments go to the
         :class:`~repro.plan.PlanExecutor` (recovery, fault injector,
         tracer, metrics).
         """
         shard = self.shards[shard_id]
         plan = self.shard_plan(shard_id, queries)
         consumer = TopKConsumer(self.shard_k(shard_id, k))
-        report = PlanExecutor(plan, **executor_kwargs).execute(consumer)
-        distances, local_idx = report.value
-        distances, global_ids = self.filter_shard_topk(
+        distances, local_idx = PlanExecutor(
+            plan, **executor_kwargs).execute(consumer).value
+        return self.filter_shard_topk(
             shard_id, distances, shard.global_ids[local_idx])
-        return distances, global_ids, report
 
     @staticmethod
     def merge_shard_topk(parts: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -361,8 +360,7 @@ class ShardedIndex:
         parts = fan_out(
             lambda i: self.query_shard(i, queries, k, **executor_kwargs),
             live, n_workers)
-        return ShardedIndex.merge_shard_topk(
-            [(d, g) for d, g, _ in parts], queries.n_rows, k)
+        return ShardedIndex.merge_shard_topk(parts, queries.n_rows, k)
 
     # ------------------------------------------------------------------
     def save(self, path) -> None:
