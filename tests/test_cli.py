@@ -22,6 +22,8 @@ class TestCli:
         out = capsys.readouterr().out
         assert "Table 2" in out
         assert "Figure 1" in out
+        assert (tmp_path / "cli_table2.txt").exists()
+        assert (tmp_path / "cli_fig1.txt").exists()
         # The paper-claim suites render through the same functions, so
         # the CLI tables carry their columns: table2's paper degree range
         # and scale, fig1's p10/p88/p98.
@@ -31,8 +33,6 @@ class TestCli:
         fig1 = (tmp_path / "cli_fig1.txt").read_text().splitlines()[2]
         assert fig1.split() == ["dataset", "p10", "p25", "p50", "p75",
                                 "p88", "p90", "p95", "p98", "p99"]
-        assert (tmp_path / "cli_table2.txt").exists()
-        assert (tmp_path / "cli_fig1.txt").exists()
 
     def test_unknown_report_rejected(self):
         with pytest.raises(SystemExit):
