@@ -13,12 +13,13 @@ makes that cost first-class:
 - :mod:`repro.dist.plan` builds one :class:`PairwisePlan` per device and
   prices the whole job (compute lanes + transfers on a rendezvous clock);
   ``partition="auto"`` picks the shape by exact modeled total cost;
-- :mod:`repro.dist.executor` runs the device lanes (serially or on a
-  thread pool) with deterministic delivery: merged results are
+- :mod:`repro.dist.executor` runs the device lanes through the plan
+  layer's ordered :func:`~repro.plan.executor.fan_out` (serial or on N
+  threads) with deterministic delivery: merged results are
   bit-identical to the single-device estimator, the executed simulated
   seconds equal the plan's estimate exactly, and mid-transfer link faults
-  route through :class:`~repro.faults.RecoveryPolicy` with watermark
-  resume.
+  (a :class:`~repro.faults.FaultInjector` schedule) route through
+  :class:`~repro.faults.RecoveryPolicy` with watermark resume.
 
 Partitions cut only the *output* dimensions (query rows × corpus rows):
 every output cell remains one whole row-pair reduction on one device, so
@@ -28,7 +29,6 @@ would change float-summation grouping and are deliberately not offered.
 """
 
 from repro.dist.executor import DistExecutionReport, DistributedExecutor
-from repro.dist.faults import LinkFaultInjector
 from repro.dist.partition import (
     PARTITIONS,
     TOPK_PAIR_BYTES,
@@ -69,5 +69,4 @@ __all__ = [
     "build_distributed_plan",
     "DistributedExecutor",
     "DistExecutionReport",
-    "LinkFaultInjector",
 ]

@@ -13,11 +13,13 @@ function of the plan:
   row-pair reduction; partial top-k merges tie-break on global ids);
 - clean-run ``simulated_seconds`` equals the plan's
   ``estimated_seconds`` exactly — same schedule fold, same priced floats;
-- ``n_workers > 1`` runs device compute lanes on a thread pool without
-  changing any of the above (accounting replays in flat device order).
+- ``n_workers > 1`` runs device compute lanes through the ordered
+  :func:`~repro.plan.executor.fan_out` without changing any of the above
+  (accounting replays in flat device order).
 
-Mid-transfer link faults (a :class:`~repro.dist.LinkFaultInjector`
-schedule) route through the standard
+Mid-transfer link faults (a :class:`~repro.faults.FaultInjector`
+schedule, replayed through :meth:`~repro.faults.FaultInjector.transfer_scope`)
+route through the standard
 :class:`~repro.faults.RecoveryPolicy`: transient link errors retry with
 simulated backoff added to both endpoint clocks; what the retry budget
 cannot absorb aborts with a structured
@@ -29,16 +31,15 @@ state) finishes the job, still bit-identical.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dist.faults import LinkFaultInjector
 from repro.dist.plan import DistributedPlan
 from repro.errors import ExecutionFaultError
+from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RETRY, RecoveryPolicy
 from repro.faults.spec import FaultEvent, FaultKind
 from repro.gpusim.interconnect import simulate_transfer
@@ -53,7 +54,7 @@ from repro.obs.tracer import (
     shielded_trace_context,
 )
 from repro.plan.consumers import TopKConsumer
-from repro.plan.executor import PlanExecutionReport, PlanExecutor
+from repro.plan.executor import PlanExecutionReport, PlanExecutor, fan_out
 
 __all__ = ["DistributedExecutor", "DistExecutionReport"]
 
@@ -95,7 +96,9 @@ class DistributedExecutor:
     Parameters mirror :class:`~repro.plan.PlanExecutor`: ``n_workers``
     threads the per-device compute lanes (observable outputs identical for
     any worker count), ``recovery`` absorbs injected link faults,
-    ``link_faults`` replays a seeded transfer-fault schedule, and
+    ``link_faults`` (a :class:`~repro.faults.FaultInjector` holding only
+    ``transient`` specs, whose tiles are comm-step indices) replays a
+    seeded transfer-fault schedule, and
     ``tracer``/``metrics`` receive comm spans/events and
     ``comm_bytes_total{tier=}`` / ``comm_seconds_total`` counters. Device
     compute runs with this executor's metrics but *not* its tracer — the
@@ -110,7 +113,7 @@ class DistributedExecutor:
 
     def __init__(self, plan: DistributedPlan, *, n_workers: int = 1,
                  recovery: Optional[RecoveryPolicy] = None,
-                 link_faults: Optional[LinkFaultInjector] = None,
+                 link_faults: Optional[FaultInjector] = None,
                  tracer: Optional[Tracer] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  telemetry: Optional[Telemetry] = None):
@@ -313,9 +316,10 @@ class DistributedExecutor:
     def _run_compute_block(self, index: int, root) -> int:
         """Run the contiguous run of pending compute steps from ``index``.
 
-        Serial or thread-pooled over devices; results are recorded (and
-        the watermark advanced) in flat device order either way, so
-        clocks, spans, and reports never depend on scheduling.
+        Serial or on ``n_workers`` threads via :func:`fan_out`; results
+        are recorded (and the watermark advanced) in flat device order
+        either way, so clocks, spans, and reports never depend on
+        scheduling.
         """
         plan = self.plan
         part = plan.partition
@@ -324,13 +328,8 @@ class DistributedExecutor:
             block.append((index, self._steps[index][1]))
             index += 1
 
-        if self.n_workers == 1 or len(block) <= 1:
-            results = [self._run_device(rc) for _, rc in block]
-        else:
-            with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-                futures = [pool.submit(self._run_device, rc)
-                           for _, rc in block]
-                results = [f.result() for f in futures]
+        results = list(fan_out(self._run_device, [rc for _, rc in block],
+                               self.n_workers))
 
         for (step_index, rc), (report, distances, global_ids) in zip(
                 block, results):

@@ -1,15 +1,19 @@
-"""Fault injection and recovery for plan execution.
+"""Fault injection and recovery for plan and distributed execution.
 
 A production-scale service streaming millions of pairwise tiles through
 (simulated) devices must survive the failures the paper's own design
 anticipates: hash-table capacity overflow (§3.3.2), rows exceeding staging
 budgets (§3.3.3), tile workspaces blowing the memory budget, and plain
-flaky launches. This package provides:
+flaky launches and links. This package provides:
 
-- :class:`FaultSpec` / :class:`FaultInjector` — a deterministic, seeded
-  fault schedule hooked into :func:`repro.gpusim.executor.simulate_launch`
-  and every kernel's ``run``, so any test or benchmark can replay an exact
-  fault sequence;
+- :class:`FaultSpec` / :class:`FaultInjector` — the one deterministic,
+  seeded fault schedule, armed per tile or transfer attempt through the
+  thread's one :func:`repro.gpusim.executor.fault_hook`, which
+  :func:`~repro.gpusim.executor.simulate_launch`,
+  :func:`~repro.gpusim.interconnect.simulate_transfer` and every kernel's
+  ``run`` consult, so any test or benchmark can replay an exact fault
+  sequence; plan tiles, distributed transfers and compaction shard
+  builds all raise its errors;
 - :class:`RecoveryPolicy` — bounded retries with simulated backoff,
   adaptive tile splitting on OOM, and the §3.3 strategy degradation ladder
   (dense → hash → partitioned → bloom → host), consumed by

@@ -1,17 +1,22 @@
-"""Deterministic, seeded fault injection for plan execution.
+"""Deterministic, seeded fault injection for plan and distributed execution.
 
 A :class:`FaultInjector` owns a schedule of :class:`FaultSpec` entries and
 decides — as a pure function of ``(seed, spec, tile_index, attempt,
-depth)`` — which faults fire at each tile execution attempt. The executor
-wraps every attempt in :meth:`FaultInjector.tile_scope`, which
+depth)`` — which faults fire at each execution attempt. The plan executor
+wraps every tile attempt in :meth:`FaultInjector.tile_scope` and the
+distributed executor every transfer attempt in
+:meth:`FaultInjector.transfer_scope`; either installs the site's
+checkpoint as this thread's :func:`repro.gpusim.executor.fault_hook`
+(thread-local, so concurrent workers never see each other's sites), which
 
-- installs a launch interceptor into
-  :func:`repro.gpusim.executor.simulate_launch` (thread-local, so
-  concurrent tile workers never see each other's sites), raising
+- :func:`repro.gpusim.executor.simulate_launch` consults, raising
   ``transient`` / ``stuck`` faults exactly where a real
   ``cudaLaunchKernel`` would fail;
-- arms the kernel-entry checkpoint that
-  :meth:`repro.kernels.base.PairwiseKernel.run` calls, raising ``oom``
+- :func:`repro.gpusim.interconnect.simulate_transfer` consults, raising
+  :class:`~repro.errors.LinkTransientFault` where a real NCCL send would
+  fail;
+- :func:`kernel_checkpoint`, called by
+  :meth:`repro.kernels.base.PairwiseKernel.run`, consults, raising ``oom``
   (workspace) and ``capacity`` (hash staging) faults at the point the
   corresponding real allocations happen.
 
@@ -23,6 +28,7 @@ unabsorbed schedules as structured :class:`~repro.errors.ExecutionFaultError`).
 
 from __future__ import annotations
 
+import functools
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -30,16 +36,35 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import (
     InjectedHashCapacityFault,
+    LinkTransientFault,
     TileStuckError,
     TileWorkspaceOOM,
     TransientLaunchFault,
 )
 from repro.faults.spec import FaultEvent, FaultKind, FaultSpec
-from repro.gpusim import executor as gpusim_executor
+from repro.gpusim.executor import fault_checkpoint, fault_hook
 
 __all__ = ["FaultInjector", "kernel_checkpoint"]
 
-_SCOPE = threading.local()
+#: The injected error of each fault kind: the genuine error type it
+#: impersonates and its message, formatted with the site's coordinates.
+_ERRORS = {
+    FaultKind.TRANSIENT: (
+        TransientLaunchFault,
+        "injected transient launch failure: tile {tile} attempt {attempt}"),
+    FaultKind.STUCK: (
+        TileStuckError,
+        "injected stuck launch: tile {tile} attempt {attempt} exceeded the "
+        "simulated watchdog"),
+    FaultKind.OOM: (
+        TileWorkspaceOOM,
+        "injected workspace OOM: tile {tile} attempt {attempt} (depth "
+        "{depth}) blew the simulated device budget"),
+    FaultKind.CAPACITY: (
+        InjectedHashCapacityFault,
+        "injected hash-capacity overflow: tile {tile} attempt {attempt} "
+        "staged row exceeds table capacity"),
+}
 
 
 @dataclass
@@ -52,12 +77,19 @@ class _SiteFaults:
     launch_fault: Optional[FaultSpec] = None   # transient | stuck
     kernel_fault: Optional[FaultSpec] = None   # oom | capacity
     slow_seconds: float = 0.0
-    #: a launch fault fires on the attempt's first launch only
+    #: a launch fault fires on the attempt's first launch (or transfer) only
     launch_armed: bool = True
+
+    def error(self, kind: FaultKind) -> Exception:
+        """The injected error a ``kind`` fault raises at this site."""
+        exc_type, message = _ERRORS[kind]
+        return exc_type(message.format(tile=self.tile_index,
+                                       attempt=self.attempt,
+                                       depth=self.depth))
 
 
 class FaultInjector:
-    """Replayable device-fault schedule for one or many plan executions.
+    """Replayable device-fault schedule for one or many executions.
 
     Parameters
     ----------
@@ -125,62 +157,54 @@ class FaultInjector:
     # ------------------------------------------------------------------
     @contextmanager
     def tile_scope(self, tile_index: int, attempt: int, depth: int):
-        """Arm this thread's checkpoints for one tile execution attempt."""
+        """Arm this thread's fault hook for one tile execution attempt."""
         site = self.site_faults(tile_index, attempt, depth)
-        prev = getattr(_SCOPE, "current", None)
-        _SCOPE.current = (self, site)
-        token = gpusim_executor.install_launch_interceptor(
-            self._launch_checkpoint)
-        try:
+        with fault_hook(functools.partial(self._checkpoint, site)):
             yield site
-        finally:
-            gpusim_executor.restore_launch_interceptor(token)
-            _SCOPE.current = prev
 
-    # ------------------------------------------------------------------
-    def _launch_checkpoint(self, spec, stats, **launch_shape) -> None:
-        """Installed into ``simulate_launch`` for the scope's thread."""
-        current = getattr(_SCOPE, "current", None)
-        if current is None or current[0] is not self:  # pragma: no cover
-            return
-        site = current[1]
-        fault = site.launch_fault
-        if fault is None or not site.launch_armed:
-            return
-        site.launch_armed = False
-        self.record(FaultEvent(tile_index=site.tile_index,
-                               attempt=site.attempt, depth=site.depth,
-                               kind=fault.kind, action="injected",
-                               detail="simulate_launch"))
-        if fault.kind is FaultKind.STUCK:
-            raise TileStuckError(
-                f"injected stuck launch: tile {site.tile_index} attempt "
-                f"{site.attempt} exceeded the simulated watchdog")
-        raise TransientLaunchFault(
-            f"injected transient launch failure: tile {site.tile_index} "
-            f"attempt {site.attempt}")
+    def transfer_scope(self, step_index: int, attempt: int):
+        """Arm this thread's fault hook for one transfer attempt at one
+        comm step: the site ``(step_index, attempt, 0)``, since transfers
+        never split.
 
-    def _kernel_checkpoint(self, kernel) -> None:
-        current = getattr(_SCOPE, "current", None)
-        if current is None or current[0] is not self:  # pragma: no cover
-            return
-        site = current[1]
-        fault = site.kernel_fault
+        Links fail only transiently (a transfer completes or is retried
+        whole; there is nothing to split or degrade), so a schedule
+        holding any other kind is refused with a ``ValueError``.
+        """
+        for spec in self.specs:
+            if spec.kind is not FaultKind.TRANSIENT:
+                raise ValueError(
+                    f"link faults support only transient specs, got "
+                    f"{spec.kind.value!r}")
+        return self.tile_scope(step_index, attempt, 0)
+
+    def _checkpoint(self, site: _SiteFaults, operation: str,
+                    **detail) -> None:
+        """The fault hook of one scope: fire the site's fault, if any.
+
+        A launch or transfer fault fires on the attempt's first launch or
+        transfer only; a kernel fault fires once per attempt, on kernel
+        entry.
+        """
+        if operation == "kernel":
+            fault, site.kernel_fault = site.kernel_fault, None
+            where = type(detail["kernel"]).__name__
+        else:
+            fault = site.launch_fault if site.launch_armed else None
+            site.launch_armed = False
+            where = f"simulate_{operation}"
         if fault is None:
             return
-        site.kernel_fault = None  # one shot per attempt
         self.record(FaultEvent(tile_index=site.tile_index,
                                attempt=site.attempt, depth=site.depth,
                                kind=fault.kind, action="injected",
-                               detail=type(kernel).__name__))
-        if fault.kind is FaultKind.OOM:
-            raise TileWorkspaceOOM(
-                f"injected workspace OOM: tile {site.tile_index} attempt "
-                f"{site.attempt} (depth {site.depth}) blew the simulated "
-                f"device budget")
-        raise InjectedHashCapacityFault(
-            f"injected hash-capacity overflow: tile {site.tile_index} "
-            f"attempt {site.attempt} staged row exceeds table capacity")
+                               detail=where))
+        if operation == "transfer":
+            raise LinkTransientFault(
+                f"injected link fault: comm step {site.tile_index} "
+                f"({detail['src']}->{detail['dst']}, "
+                f"{int(detail['nbytes'])} bytes), attempt {site.attempt}")
+        raise site.error(fault.kind)
 
 
 def kernel_checkpoint(kernel) -> None:
@@ -190,6 +214,4 @@ def kernel_checkpoint(kernel) -> None:
     the kernel's device workspace and shared-memory staging structures are
     allocated.
     """
-    current = getattr(_SCOPE, "current", None)
-    if current is not None:
-        current[0]._kernel_checkpoint(kernel)
+    fault_checkpoint("kernel", kernel=kernel)

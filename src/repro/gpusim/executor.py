@@ -8,13 +8,14 @@ it has exactly two uses, and they can never drift apart:
 - :meth:`LaunchSchedule.price` — side-effect-free pricing (the autotuner's
   and the plan estimator's dry runs);
 - :meth:`LaunchSchedule.execute` — one :func:`simulate_launch` per launch,
-  which adds fault interception, metrics and trace events on top of the
+  which adds the fault checkpoint, metrics and trace events on top of the
   same pricing, merges the per-launch stats and sums the seconds.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple
 
@@ -25,28 +26,38 @@ from repro.gpusim.stats import KernelStats
 from repro.obs.tracer import current_metrics, current_tracer
 
 __all__ = ["Launch", "LaunchResult", "LaunchSchedule", "simulate_launch",
-           "install_launch_interceptor", "restore_launch_interceptor"]
+           "fault_hook", "fault_checkpoint"]
 
-#: Thread-local launch interception point. Fault injection
-#: (:mod:`repro.faults`) installs a callback here for the duration of one
-#: tile attempt; :func:`simulate_launch` invokes it before pricing, giving
-#: the injector the exact place a real ``cudaLaunchKernel`` would fail.
-#: Thread-local on purpose: concurrent tile workers each carry their own
-#: injection site and must never observe a sibling's.
-_INTERCEPTOR = threading.local()
-
-
-def install_launch_interceptor(fn):
-    """Install ``fn(spec, stats, **launch_shape)`` as this thread's launch
-    interceptor. Returns a token for :func:`restore_launch_interceptor`."""
-    token = getattr(_INTERCEPTOR, "fn", None)
-    _INTERCEPTOR.fn = fn
-    return token
+#: Thread-local fault hook. Fault injection (:mod:`repro.faults`) installs
+#: a callback here for one tile or transfer attempt, and
+#: :func:`fault_checkpoint` hands it each simulated operation of the
+#: attempt: :func:`simulate_launch` and
+#: :func:`~repro.gpusim.interconnect.simulate_transfer` before pricing, and
+#: every kernel run on entry — the exact places a real ``cudaLaunchKernel``,
+#: NCCL send or workspace allocation would fail. Thread-local on purpose:
+#: concurrent workers each carry their own injection site and must never
+#: observe a sibling's.
+_FAULT_HOOK = threading.local()
 
 
-def restore_launch_interceptor(token) -> None:
-    """Restore the interceptor returned by :func:`install_launch_interceptor`."""
-    _INTERCEPTOR.fn = token
+@contextmanager
+def fault_hook(fn):
+    """Install ``fn(operation, **detail)`` as this thread's fault hook for
+    the ``with`` block, restoring the previous one afterwards."""
+    prev = getattr(_FAULT_HOOK, "fn", None)
+    _FAULT_HOOK.fn = fn
+    try:
+        yield
+    finally:
+        _FAULT_HOOK.fn = prev
+
+
+def fault_checkpoint(operation: str, **detail) -> None:
+    """Give this thread's fault hook, if any, a shot at one simulated
+    ``operation`` (``"launch"``, ``"transfer"`` or ``"kernel"``)."""
+    hook = getattr(_FAULT_HOOK, "fn", None)
+    if hook is not None:
+        hook(operation, **detail)
 
 
 @dataclass(frozen=True)
@@ -71,15 +82,10 @@ def simulate_launch(spec: DeviceSpec, stats: KernelStats, *,
     Raises :class:`repro.errors.KernelLaunchError` when the block shape or
     shared-memory request can never be scheduled on ``spec`` — the same
     failure a real ``cudaLaunchKernel`` would report. An installed fault
-    interceptor (see :func:`install_launch_interceptor`) may raise here
-    too, impersonating a transient driver failure or a hung launch.
+    hook (see :func:`fault_hook`) may raise here too, impersonating a
+    transient driver failure or a hung launch.
     """
-    interceptor = getattr(_INTERCEPTOR, "fn", None)
-    if interceptor is not None:
-        interceptor(spec, stats, grid_blocks=grid_blocks,
-                    block_threads=block_threads,
-                    smem_per_block=smem_per_block,
-                    regs_per_thread=regs_per_thread)
+    fault_checkpoint("launch")
     # Stamping + pricing live in the side-effect-free core shared with the
     # autotuner's dry runs, so estimates and launches can never drift.
     occupancy, time = price_launch(

@@ -10,7 +10,7 @@ link with the classic latency + size/bandwidth model, an
 the :func:`price_transfer` / :func:`simulate_transfer` pair mirrors the
 ``price_launch`` / ``simulate_launch`` split — pricing is side-effect-free
 and shared with the partition autotuner's dry runs, while simulation adds
-fault interception, metrics, and trace events.
+the fault checkpoint, metrics, and trace events.
 
 Three named presets mirror :func:`repro.gpusim.get_device`:
 
@@ -27,11 +27,11 @@ preset       topology
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import InterconnectConfigError
+from repro.gpusim.executor import fault_checkpoint
 from repro.obs.tracer import current_metrics, current_tracer
 
 __all__ = [
@@ -41,36 +41,11 @@ __all__ = [
     "INTERCONNECTS",
     "get_interconnect",
     "simulate_transfer",
-    "install_transfer_interceptor",
-    "restore_transfer_interceptor",
     "LOCAL_TIER",
 ]
 
 #: Tier label stamped on zero-cost same-device "transfers".
 LOCAL_TIER = "local"
-
-#: Thread-local transfer interception point, mirroring the launch
-#: interceptor in :mod:`repro.gpusim.executor`: link-fault injection
-#: installs a callback for the duration of one transfer attempt and
-#: :func:`simulate_transfer` invokes it before pricing — the exact place
-#: a real NCCL send would surface a link error.
-_INTERCEPTOR = threading.local()
-
-
-def install_transfer_interceptor(fn):
-    """Install ``fn(interconnect, nbytes, src=, dst=)`` as this thread's
-    transfer interceptor. Returns a token for
-    :func:`restore_transfer_interceptor`."""
-    token = getattr(_INTERCEPTOR, "fn", None)
-    _INTERCEPTOR.fn = fn
-    return token
-
-
-def restore_transfer_interceptor(token) -> None:
-    """Restore the interceptor returned by
-    :func:`install_transfer_interceptor`."""
-    _INTERCEPTOR.fn = token
-
 
 @dataclass(frozen=True)
 class LinkSpec:
@@ -236,18 +211,16 @@ def get_interconnect(name, n_devices: int) -> InterconnectSpec:
 
 def simulate_transfer(interconnect: InterconnectSpec, nbytes: int,
                       src: int, dst: int) -> Transfer:
-    """Price a transfer and record it: interception, metrics, trace event.
+    """Price a transfer and record it: fault checkpoint, metrics, trace event.
 
-    The observable analogue of :func:`~repro.gpusim.simulate_launch`: an
-    installed transfer interceptor (see
-    :func:`install_transfer_interceptor`) may raise before pricing,
-    impersonating a mid-transfer link fault; the priced result feeds
-    ``comm_bytes_total{tier=}`` / ``comm_seconds_total`` and a
-    ``comm.transfer`` trace event on the current tracer.
+    The observable analogue of :func:`~repro.gpusim.simulate_launch`:
+    the thread's fault hook (see :func:`~repro.gpusim.executor.fault_hook`)
+    may raise before pricing, impersonating a mid-transfer link fault; the
+    priced result feeds ``comm_bytes_total{tier=}`` /
+    ``comm_seconds_total`` and a ``comm.transfer`` trace event on the
+    current tracer.
     """
-    interceptor = getattr(_INTERCEPTOR, "fn", None)
-    if interceptor is not None:
-        interceptor(interconnect, nbytes, src=src, dst=dst)
+    fault_checkpoint("transfer", nbytes=nbytes, src=src, dst=dst)
     transfer = interconnect.price_transfer(nbytes, src, dst)
 
     metrics = current_metrics()

@@ -3,12 +3,13 @@
 Each tile is an independent job — slice the operand bands, run the
 configured kernel (launch its schedule, compute its block), apply the
 measure's expansion (with the plan's cached norms) or finalize — so tiles
-parallelize freely. ``n_workers > 1``
-runs them on a thread pool, simulating concurrent streams / multi-GPU
-execution, while keeping every observable output deterministic:
+parallelize freely. ``n_workers > 1`` runs them through :func:`fan_out`,
+the one ordered thread fan-out (the serving and distributed layers use it
+too), simulating concurrent streams / multi-GPU execution, while keeping
+every observable output deterministic:
 
-- tiles are delivered to the consumer in tile order (a reorder buffer holds
-  early finishers until their turn);
+- tiles are delivered to the consumer in tile order, because
+  :func:`fan_out` yields results in item order;
 - an engine's schedule is a pure function of the tile's operands, so one
   kernel instance serves every tile and worker;
 - merged :class:`KernelStats` accumulate in tile order;
@@ -28,26 +29,28 @@ of launched, folded by the same makespan.
 :class:`~repro.faults.RecoveryPolicy` (and, in tests/benches, a
 :class:`~repro.faults.FaultInjector`): transient launch failures retry with
 simulated backoff, workspace OOMs adaptively split the failing tile into
-sub-tiles whose blocks are reassembled before delivery (so consumers and
-the reorder buffer still see exactly the planned tiles, in order), and
-capacity faults walk the §3.3 strategy degradation ladder down to the host
-reference kernel. Every recovery preserves bit-identical distances because
-each output cell is an independent row-pair reduction. What recovery cannot
-absorb aborts the execution: sibling workers are cancelled, the consumer's
+sub-tiles whose blocks are reassembled before delivery (so consumers still
+see exactly the planned tiles, in order), and capacity faults walk the §3.3
+strategy degradation ladder down to the host reference kernel. Every
+recovery preserves bit-identical distances because each output cell is an
+independent row-pair reduction. What recovery cannot absorb aborts the
+execution: tiles not yet started are cancelled, the consumer's
 :meth:`~repro.plan.consumers.TileConsumer.abort` hook fires (partial state
 is never mistaken for a result), and a structured
 :class:`~repro.errors.ExecutionFaultError` carries the fault log plus a
 resumable watermark — re-running with ``resume_from=err.watermark`` on the
-same consumer finishes the job.
+same consumer finishes the job. The aborted run has delivered exactly the
+tiles before the failed one, so the watermark and fault log are the serial
+run's for any worker count.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -76,7 +79,25 @@ from repro.plan.pairwise_plan import PairwisePlan
 from repro.plan.tiling import Tile
 
 __all__ = ["PlanExecutor", "PlanExecutionReport",
-           "estimate_execution_seconds"]
+           "estimate_execution_seconds", "fan_out"]
+
+
+def fan_out(fn: Callable, items: Sequence, n_workers: int) -> Iterator:
+    """Yield ``fn(item)`` for each of ``items``, in item order.
+
+    A plain loop for one worker or one item; otherwise
+    ``ThreadPoolExecutor.map`` on up to ``n_workers`` threads. When
+    iteration stops early (``fn`` raised for an item, or the caller
+    stopped), the calls not yet started are cancelled and those already
+    running finish unread, so the caller has seen exactly the serial
+    prefix.
+    """
+    if n_workers <= 1 or len(items) <= 1:
+        for item in items:
+            yield fn(item)
+        return
+    with ThreadPoolExecutor(max_workers=min(n_workers, len(items))) as pool:
+        yield from pool.map(fn, items)
 
 
 @dataclass
@@ -199,8 +220,8 @@ class PlanExecutor:
         identical for any worker count.
     recovery:
         Optional :class:`~repro.faults.RecoveryPolicy`. Without one, any
-        tile failure aborts the execution (after cancelling siblings and
-        notifying the consumer) exactly as before.
+        tile failure aborts the execution (after cancelling the tiles not
+        yet started and notifying the consumer).
     fault_injector:
         Optional :class:`~repro.faults.FaultInjector` whose schedule is
         replayed into this execution's kernel launches and runs.
@@ -267,28 +288,6 @@ class PlanExecutor:
         degraded_tiles: List[int] = []
         obs = self._obs
 
-        def deliver(outcome: _RectResult) -> None:
-            nonlocal last_schedule, n_retries, n_splits, backoff
-            stats.merge(outcome.stats)
-            tile_seconds[outcome.tile.index - resume_from] = outcome.seconds
-            accountant.record(TileLaunchRecord(
-                tile_index=outcome.tile.index,
-                rows_a=outcome.tile.rows_a, rows_b=outcome.tile.rows_b,
-                output_bytes=float(outcome.tile.output_bytes),
-                workspace_bytes=float(outcome.stats.workspace_bytes),
-                seconds=outcome.seconds))
-            if outcome.schedule is not None:
-                last_schedule = outcome.schedule
-            fault_log.extend(outcome.events)
-            n_retries += outcome.n_retries
-            n_splits += outcome.n_splits
-            backoff += outcome.backoff_seconds
-            if outcome.degraded:
-                degraded_tiles.append(outcome.tile.index)
-            obs.record(outcome)
-            consumer.consume(outcome.tile, outcome.block)
-            consumer.delivered_watermark = outcome.tile.index + 1
-
         root = self.tracer.span(
             "plan.execute", "plan",
             metric=plan.measure.name,
@@ -299,12 +298,27 @@ class PlanExecutor:
         run_tile = functools.partial(self._run_tile, root, resume_from)
         with obs, root:
             try:
-                if self.n_workers == 1 or len(tiles) <= 1:
-                    for tile in tiles:
-                        deliver(run_tile(tile))
-                else:
-                    self._execute_threaded(tiles, resume_from, run_tile,
-                                           deliver)
+                for outcome in fan_out(run_tile, tiles, self.n_workers):
+                    tile = outcome.tile
+                    stats.merge(outcome.stats)
+                    tile_seconds[tile.index - resume_from] = outcome.seconds
+                    accountant.record(TileLaunchRecord(
+                        tile_index=tile.index, rows_a=tile.rows_a,
+                        rows_b=tile.rows_b,
+                        output_bytes=float(tile.output_bytes),
+                        workspace_bytes=float(outcome.stats.workspace_bytes),
+                        seconds=outcome.seconds))
+                    if outcome.schedule is not None:
+                        last_schedule = outcome.schedule
+                    fault_log.extend(outcome.events)
+                    n_retries += outcome.n_retries
+                    n_splits += outcome.n_splits
+                    backoff += outcome.backoff_seconds
+                    if outcome.degraded:
+                        degraded_tiles.append(tile.index)
+                    obs.record(outcome)
+                    consumer.consume(tile, outcome.block)
+                    consumer.delivered_watermark = tile.index + 1
             except _TileFailure as failure:
                 self._abort(consumer, failure, fault_log, root)
             except Exception as exc:  # consumer bugs: still notify
@@ -343,34 +357,6 @@ class PlanExecutor:
         return report
 
     # ------------------------------------------------------------------
-    def _execute_threaded(self, tiles: List[Tile], resume_from: int,
-                          run_tile, deliver) -> None:
-        """Worker-pool path with the in-order reorder buffer.
-
-        A failure in any tile cancels every sibling future before
-        propagating (as :class:`_TileFailure`) — pending tiles never keep
-        running toward a consumer that will never see them.
-        """
-        pending: Dict[int, _RectResult] = {}
-        next_index = resume_from
-        with ThreadPoolExecutor(max_workers=self.n_workers) as pool:
-            futures = {pool.submit(run_tile, t): t for t in tiles}
-            outstanding = set(futures)
-            while outstanding:
-                done, outstanding = wait(outstanding,
-                                         return_when=FIRST_COMPLETED)
-                for future in done:
-                    try:
-                        outcome = future.result()
-                    except _TileFailure:
-                        for sibling in outstanding:
-                            sibling.cancel()
-                        raise
-                    pending[outcome.tile.index] = outcome
-                while next_index in pending:
-                    deliver(pending.pop(next_index))
-                    next_index += 1
-
     def _abort(self, consumer: TileConsumer, failure: _TileFailure,
                delivered_events: List[FaultEvent], root) -> None:
         """Notify the consumer, then surface the failure.

@@ -60,12 +60,8 @@ import numpy as np
 from repro.core.distances import DistanceMeasure, make_distance
 from repro.errors import (
     CompactionFaultError,
-    InjectedHashCapacityFault,
     ShapeMismatchError,
     SnapshotFormatError,
-    TileStuckError,
-    TileWorkspaceOOM,
-    TransientLaunchFault,
 )
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import RecoveryPolicy
@@ -97,15 +93,6 @@ MUTABLE_SNAPSHOT_VERSION = 1
 #: Simulated cost model for building one new-generation shard.
 _BUILD_SECONDS_PER_ROW = 1e-6
 _BUILD_SECONDS_PER_NNZ = 2e-8
-
-#: Injected-fault types per kind (impersonating the organic errors, as the
-#: plan executor's injector does).
-_FAULT_EXCEPTIONS = {
-    FaultKind.TRANSIENT: TransientLaunchFault,
-    FaultKind.STUCK: TileStuckError,
-    FaultKind.OOM: TileWorkspaceOOM,
-    FaultKind.CAPACITY: InjectedHashCapacityFault,
-}
 
 _SNAPSHOT_NAME = re.compile(r"mutable-(\d{6})\.npz$")
 
@@ -880,9 +867,7 @@ class MutableIndex:
                 fault = site.launch_fault or site.kernel_fault
             if fault is None:
                 break
-            exc = _FAULT_EXCEPTIONS[fault.kind](
-                f"injected {fault.kind.value} fault building shard "
-                f"{shard_index} (attempt {attempt})")
+            exc = site.error(fault.kind)
             log(fault.kind, "injected")
             # Compaction has a single recovery rung — retry with backoff —
             # so every *classifiable* fault retries and only an exhausted

@@ -69,7 +69,7 @@ from repro.obs.telemetry import (
 )
 from repro.obs.tracer import trace_context
 from repro.plan.consumers import TopKConsumer
-from repro.plan.executor import PlanExecutor
+from repro.plan.executor import PlanExecutor, fan_out
 from repro.plan.pairwise_plan import PreparedOperand, stack_operands
 from repro.serve.admission import AdmissionController
 from repro.serve.backpressure import BackpressureController
@@ -84,7 +84,7 @@ from repro.serve.request import (
     ShedReport,
 )
 from repro.serve.scheduler import MicroBatch, QueryScheduler
-from repro.serve.sharding import ShardedIndex, fan_out
+from repro.serve.sharding import ShardedIndex
 
 __all__ = ["Server", "LATENCY_BUCKETS_MS"]
 
@@ -396,10 +396,10 @@ class Server:
         """Run every shard (possibly concurrently); collect reports,
         ``(distances, global_indices)`` for the surviving shards, and the
         replica each surviving shard ran on."""
-        outcomes = fan_out(
+        outcomes = list(fan_out(
             lambda i: self._run_shard(i, queries, k, dispatch_ms,
                                       batch_span),
-            range(self.index.n_shards), self.n_workers)
+            range(self.index.n_shards), self.n_workers))
         reports = [rep for rep, _, _ in outcomes]
         parts = [part for _, part, _ in outcomes if part is not None]
         replicas = [state for _, _, state in outcomes if state is not None]

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import json
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from repro.gpusim.specs import DeviceSpec, get_device
 from repro.neighbors.topk import TopKAccumulator
 from repro.plan.autotune import TuningChoice
 from repro.plan.consumers import TopKConsumer
-from repro.plan.executor import PlanExecutor
+from repro.plan.executor import PlanExecutor, fan_out
 from repro.plan.pairwise_plan import (
     PairwisePlan,
     PreparedOperand,
@@ -55,8 +54,7 @@ from repro.plan.pairwise_plan import (
 from repro.sparse.convert import as_csr
 from repro.sparse.csr import CSRMatrix
 
-__all__ = ["Shard", "ShardedIndex", "PLACEMENTS", "plan_shard_assignment",
-           "fan_out"]
+__all__ = ["Shard", "ShardedIndex", "PLACEMENTS", "plan_shard_assignment"]
 
 #: Supported row-placement strategies.
 PLACEMENTS = ("contiguous", "degree_balanced")
@@ -120,16 +118,6 @@ def plan_shard_assignment(csr: CSRMatrix, n_shards: int,
         return [np.arange(bounds[i], bounds[i + 1], dtype=np.int64)
                 for i in range(n_shards)]
     return degree_balanced_shards(csr, n_shards)
-
-
-def fan_out(fn: Callable, items: Sequence, n_workers: int) -> list:
-    """``[fn(item) for item in items]``, on up to ``n_workers`` threads
-    when there is more than one item; results keep the order of
-    ``items``."""
-    if n_workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 def _resolve_devices(devices, n_shards: int) -> List[DeviceSpec]:
@@ -357,9 +345,9 @@ class ShardedIndex:
         queries = self.prepare_queries(x)
         k = min(int(n_neighbors), self.n_rows)
         live = [i for i, shard in enumerate(self.shards) if shard.n_rows]
-        parts = fan_out(
+        parts = list(fan_out(
             lambda i: self.query_shard(i, queries, k, **executor_kwargs),
-            live, n_workers)
+            live, n_workers))
         return ShardedIndex.merge_shard_topk(parts, queries.n_rows, k)
 
     # ------------------------------------------------------------------

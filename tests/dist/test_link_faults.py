@@ -12,13 +12,9 @@ import numpy as np
 import pytest
 
 from repro.datasets.synthetic import make_skewed
-from repro.dist import (
-    DistributedExecutor,
-    LinkFaultInjector,
-    build_distributed_plan,
-)
+from repro.dist import DistributedExecutor, build_distributed_plan
 from repro.errors import ExecutionFaultError
-from repro.faults import FaultSpec, RecoveryPolicy
+from repro.faults import FaultInjector, FaultSpec, RecoveryPolicy
 from repro.neighbors.brute_force import NearestNeighbors
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -48,26 +44,32 @@ def _plan(operands, **kwargs):
 
 
 def test_injector_rejects_non_transient_specs():
-    with pytest.raises(ValueError):
-        LinkFaultInjector((FaultSpec("oom", tiles=(0,)),), seed=CHAOS_SEED)
+    injector = FaultInjector((FaultSpec("oom", tiles=(0,)),),
+                             seed=CHAOS_SEED)
+    with pytest.raises(ValueError, match="'oom'"):
+        injector.transfer_scope(0, 0)
 
 
 def test_fires_at_is_pure():
     specs = (FaultSpec("transient", probability=0.5,
                        attempts=(0, 1)),)
-    one = LinkFaultInjector(specs, seed=CHAOS_SEED)
-    two = LinkFaultInjector(specs, seed=CHAOS_SEED)
+    one = FaultInjector(specs, seed=CHAOS_SEED)
+    two = FaultInjector(specs, seed=CHAOS_SEED)
     schedule = [(s, a) for s in range(20) for a in range(2)]
-    assert ([one.fires_at(s, a) for s, a in schedule]
-            == [two.fires_at(s, a) for s, a in schedule])
-    other = LinkFaultInjector(specs, seed=CHAOS_SEED + 1)
+
+    def fires(injector, step, attempt):
+        return injector.site_faults(step, attempt, 0).launch_fault is not None
+
+    assert ([fires(one, s, a) for s, a in schedule]
+            == [fires(two, s, a) for s, a in schedule])
+    other = FaultInjector(specs, seed=CHAOS_SEED + 1)
     # a different seed is a different (deterministic) schedule
-    assert isinstance(other.fires_at(0, 0), bool)
+    assert isinstance(fires(other, 0, 0), bool)
 
 
 def test_transient_fault_is_absorbed_bit_identically(operands, oracle):
     plan = _plan(operands)
-    injector = LinkFaultInjector(
+    injector = FaultInjector(
         (FaultSpec("transient", tiles=(0, 2)),), seed=CHAOS_SEED)
     report = DistributedExecutor(
         plan, recovery=RecoveryPolicy(), link_faults=injector).execute()
@@ -84,7 +86,7 @@ def test_chaos_schedule_stays_bit_transparent(operands, oracle):
     """Probabilistic faults at the module seed: whatever fires, an
     absorbed run returns the clean answer exactly."""
     plan = _plan(operands, n_devices=2, partition="1d_col")
-    injector = LinkFaultInjector(
+    injector = FaultInjector(
         (FaultSpec("transient", probability=0.4),), seed=CHAOS_SEED)
     report = DistributedExecutor(
         plan, n_workers=2, recovery=RecoveryPolicy(),
@@ -99,7 +101,7 @@ def test_unrecovered_fault_aborts_with_watermark(operands):
     ex = DistributedExecutor(plan, recovery=RecoveryPolicy())
     # last comm step of the schedule fails on every attempt
     fatal_step = ex.n_steps - 1
-    ex.link_faults = LinkFaultInjector(
+    ex.link_faults = FaultInjector(
         (FaultSpec("transient", tiles=(fatal_step,),
                    attempts=tuple(range(16))),), seed=CHAOS_SEED)
     with pytest.raises(ExecutionFaultError) as err:
@@ -112,7 +114,7 @@ def test_watermark_resume_completes_bit_identically(operands, oracle):
     plan = _plan(operands)
     ex = DistributedExecutor(plan, recovery=RecoveryPolicy())
     fatal_step = ex.n_steps - 1
-    ex.link_faults = LinkFaultInjector(
+    ex.link_faults = FaultInjector(
         (FaultSpec("transient", tiles=(fatal_step,),
                    attempts=tuple(range(16))),), seed=CHAOS_SEED)
     with pytest.raises(ExecutionFaultError) as err:
@@ -135,7 +137,7 @@ def test_resume_requires_matching_watermark(operands):
 def test_no_policy_means_first_fault_aborts(operands):
     plan = _plan(operands, n_devices=2, partition="1d_row")
     ex = DistributedExecutor(
-        plan, link_faults=LinkFaultInjector(
+        plan, link_faults=FaultInjector(
             (FaultSpec("transient", tiles=(0,)),), seed=CHAOS_SEED))
     with pytest.raises(ExecutionFaultError):
         ex.execute()

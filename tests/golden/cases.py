@@ -247,13 +247,9 @@ def _run_obs_dist(tracer, metrics, telemetry):
     """A 2-D grid whose first transfer retries once and whose last one
     aborts; the same executor then resumes from the watermark."""
     from repro.datasets.synthetic import make_skewed
-    from repro.dist import (
-        DistributedExecutor,
-        LinkFaultInjector,
-        build_distributed_plan,
-    )
+    from repro.dist import DistributedExecutor, build_distributed_plan
     from repro.errors import ExecutionFaultError
-    from repro.faults import FaultSpec, RecoveryPolicy
+    from repro.faults import FaultInjector, FaultSpec, RecoveryPolicy
 
     a = make_skewed(24, 30, mean_degree=6, sigma=1.0, seed=71)
     b = make_skewed(28, 30, mean_degree=6, sigma=1.0, seed=72)
@@ -264,7 +260,7 @@ def _run_obs_dist(tracer, metrics, telemetry):
                                    tracer=tracer, metrics=metrics,
                                    telemetry=telemetry)
     fatal_step = executor.n_steps - 1
-    executor.link_faults = LinkFaultInjector(
+    executor.link_faults = FaultInjector(
         (FaultSpec("transient", tiles=(0,), attempts=(0,)),
          FaultSpec("transient", tiles=(fatal_step,),
                    attempts=tuple(range(16)))), seed=0)

@@ -300,14 +300,13 @@ def test_dist_trace_is_identical_for_any_worker_count():
 
 
 def test_dist_faulted_run_reconciles_with_report():
-    from repro.dist import LinkFaultInjector
     from repro.faults import RecoveryPolicy as Policy
 
     tracer = Tracer()
     metrics = MetricsRegistry()
     report = _dist_execute(
         tracer, metrics, n_workers=2,
-        link_faults=LinkFaultInjector(
+        link_faults=FaultInjector(
             (FaultSpec("transient", tiles=(0, 3)),), seed=0),
         recovery=Policy())
     assert report.n_retries == 2

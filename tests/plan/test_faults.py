@@ -221,8 +221,40 @@ class TestUnabsorbableAndResume:
         with pytest.raises(ExecutionFaultError) as exc_info:
             PlanExecutor(fault_plan(a, b, "euclidean"), n_workers=n_workers,
                          fault_injector=injector).execute(consumer)
-        assert exc_info.value.watermark <= 3
+        assert exc_info.value.watermark == 3
         assert len(consumer.aborts) == 1
+
+    def test_threaded_abort_reports_the_serial_watermark_and_log(
+            self, fault_pair):
+        """An aborted 4-worker run delivers exactly the serial prefix:
+        the tiles before the failed one, in order, with their absorbed
+        faults, on every repetition."""
+        a, b = fault_pair
+        fatal = 5
+        specs = (FaultSpec("transient", tiles=(1,)),
+                 FaultSpec("oom", tiles=(2,)),
+                 FaultSpec("slow", tiles=(3,), seconds=0.1),
+                 FaultSpec("stuck", tiles=(fatal,),
+                           attempts=tuple(range(16))))
+
+        def run(n_workers):
+            consumer = RecordingConsumer()
+            with pytest.raises(ExecutionFaultError) as exc_info:
+                PlanExecutor(fault_plan(a, b, "euclidean"),
+                             n_workers=n_workers,
+                             recovery=RecoveryPolicy(max_retries=2),
+                             fault_injector=FaultInjector(specs, seed=SEED),
+                             ).execute(consumer)
+            assert consumer.consumed == list(range(fatal))
+            return exc_info.value
+
+        serial = run(1)
+        assert serial.watermark == fatal
+        assert {e.tile_index for e in serial.fault_log} == {1, 2, 3, fatal}
+        for _ in range(10):
+            threaded = run(4)
+            assert threaded.watermark == serial.watermark
+            assert threaded.fault_log == serial.fault_log
 
     def test_consumer_error_propagates_raw(self, fault_pair):
         """Non-fault failures keep their type (backward compatibility)."""

@@ -99,9 +99,9 @@ class TestFaultInjector:
         with pytest.raises(TileWorkspaceOOM):
             with injector.tile_scope(0, 0, 0):
                 kernel_checkpoint(object())
-        # The thread-local scope and interceptor were restored.
+        # The thread's one fault hook was restored.
         kernel_checkpoint(object())
-        assert getattr(gpusim_executor._INTERCEPTOR, "fn", None) is None
+        assert getattr(gpusim_executor._FAULT_HOOK, "fn", None) is None
 
     def test_kernel_fault_is_one_shot_per_attempt(self):
         injector = FaultInjector([FaultSpec("capacity", tiles=(0,))], seed=0)
