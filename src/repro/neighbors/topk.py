@@ -9,7 +9,7 @@ maintains the running k-best across batches of *candidate columns*.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -105,17 +105,12 @@ class TopKAccumulator:
         self._values = np.full((n_rows, 0), np.inf)
         self._indices = np.zeros((n_rows, 0), dtype=np.int64)
 
-    def update(self, distances: np.ndarray, col_offset: int = 0, *,
-               offset_indices: Optional[np.ndarray] = None) -> None:
+    def update(self, distances: np.ndarray, col_offset: int = 0) -> None:
         """Merge a new batch of columns into the running best.
 
         The batch's local column ``c`` maps to global column
-        ``col_offset + c`` — or, when ``offset_indices`` is given, to
-        ``offset_indices[c]``. The latter is the cross-shard merge path: a
-        shard's distance block is computed over shard-local rows, and
-        ``offset_indices`` (the shard's sorted global row ids) remaps each
-        local column back to its global identity so tie-breaks stay
-        globally deterministic.
+        ``col_offset + c``. Shards, whose columns are not contiguous,
+        merge their pre-selected candidates through :meth:`update_pairs`.
         """
         distances = np.asarray(distances, dtype=np.float64)
         if distances.ndim != 2:
@@ -124,25 +119,14 @@ class TopKAccumulator:
         if distances.shape[0] != self.n_rows:
             raise ValueError(
                 f"batch has {distances.shape[0]} rows, expected {self.n_rows}")
-        if offset_indices is None:
-            if col_offset < 0:
-                raise ValueError(
-                    f"col_offset must be non-negative, got {col_offset}")
-        else:
-            offset_indices = np.asarray(offset_indices, dtype=np.int64)
-            if offset_indices.ndim != 1:
-                raise ValueError("offset_indices must be 1-D")
-            if offset_indices.shape[0] != distances.shape[1]:
-                raise ValueError(
-                    f"offset_indices has {offset_indices.shape[0]} entries "
-                    f"but the batch has {distances.shape[1]} columns")
+        if col_offset < 0:
+            raise ValueError(
+                f"col_offset must be non-negative, got {col_offset}")
         k_local = min(self.k, distances.shape[1])
         if k_local == 0:
             return
         val, idx = select_topk(distances, k_local)
-        idx = (idx + col_offset if offset_indices is None
-               else offset_indices[idx])
-        self._merge(val, idx)
+        self._merge(val, idx + col_offset)
 
     def update_pairs(self, values: np.ndarray, indices: np.ndarray) -> None:
         """Merge pre-selected ``(values, indices)`` candidates.

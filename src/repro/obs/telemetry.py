@@ -447,16 +447,6 @@ class Telemetry:
                     or any(t in kept for t in
                            r["attrs"].get("member_trace_ids", ()))]
 
-    def write_sampled(self, path: Union[str, Path]) -> Path:
-        """Write the retained stream as JSONL; returns the path."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            for record in self.sampled_events():
-                fh.write(json.dumps(record, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-        return path
-
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()

@@ -117,43 +117,22 @@ class TestUpdateValidation:
         with pytest.raises(ValueError, match="col_offset"):
             TopKAccumulator(4, 2).update(rng.random((4, 5)), -1)
 
-    def test_rejects_bad_offset_indices(self, rng):
-        acc = TopKAccumulator(4, 2)
-        with pytest.raises(ValueError, match="1-D"):
-            acc.update(rng.random((4, 5)),
-                       offset_indices=np.zeros((5, 1), dtype=np.int64))
-        with pytest.raises(ValueError, match="columns"):
-            acc.update(rng.random((4, 5)),
-                       offset_indices=np.arange(4))
 
-
-class TestOffsetIndices:
-    def test_remaps_to_global_ids(self, rng):
-        d = rng.random((3, 4))
-        ids = np.array([7, 2, 11, 5])
-        acc = TopKAccumulator(3, 2)
-        acc.update(d, offset_indices=ids)
-        _, idx = acc.finalize()
-        assert set(idx.ravel()) <= set(ids.tolist())
-        # column argmin maps through the id table
-        np.testing.assert_array_equal(idx[:, 0], ids[np.argmin(d, axis=1)])
-
+class TestUpdatePairs:
     def test_interleaved_shards_equal_full(self, rng):
-        """Columns split round-robin across two 'shards' and merged via
-        offset_indices must equal selecting over the full block."""
-        d = rng.random((5, 16))
+        """Columns split round-robin across two 'shards', each selecting
+        its own top-k with global ids, and merged via update_pairs must
+        equal selecting over the full block — ties included."""
+        d = rng.integers(0, 4, size=(5, 16)).astype(np.float64)
         want_val, want_idx = select_topk(d, 6)
         acc = TopKAccumulator(5, 6)
-        even = np.arange(0, 16, 2)
-        odd = np.arange(1, 16, 2)
-        acc.update(d[:, even], offset_indices=even)
-        acc.update(d[:, odd], offset_indices=odd)
+        for ids in (np.arange(0, 16, 2), np.arange(1, 16, 2)):
+            val, local = select_topk(d[:, ids], 6)
+            acc.update_pairs(val, ids[local])
         got_val, got_idx = acc.finalize()
         np.testing.assert_array_equal(got_val, want_val)
         np.testing.assert_array_equal(got_idx, want_idx)
 
-
-class TestUpdatePairs:
     def test_merges_preselected_candidates(self, rng):
         d = rng.random((4, 20))
         want_val, want_idx = select_topk(d, 5)
