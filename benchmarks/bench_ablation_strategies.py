@@ -13,13 +13,12 @@ Reproduces the paper's Section 3 narrative quantitatively:
 """
 
 import numpy as np
-import pytest
 
 from repro.bench import bench_dataset, format_seconds, render_table, save_report
 from repro.core.pairwise import pairwise_distances
 from repro.errors import KernelLaunchError
 from repro.gpusim.specs import VOLTA_V100
-from repro.kernels import LoadBalancedCooKernel, make_engine
+from repro.kernels import LoadBalancedCooKernel
 from repro.kernels.strategy import max_entries_per_block, plan_partitions
 from repro.testing import skewed_dense
 
@@ -169,7 +168,6 @@ def test_block_sparse_tradeoff(benchmark):
     necessary" from CSR, and hyper-sparse neighborhood data pays a heavy
     tile-fill cost — the measured rationale for the paper staying with CSR."""
     from repro.sparse.bsr import BSRMatrix
-    from repro.sparse.ops import vstack
 
     def run():
         rows = []

@@ -18,7 +18,7 @@ Run:  python examples/single_cell_rna.py
 
 import numpy as np
 
-from repro import NearestNeighbors, pairwise_distances
+from repro import NearestNeighbors
 from repro.neighbors import knn_graph
 from repro.sparse import CSRMatrix
 

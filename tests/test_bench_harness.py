@@ -20,7 +20,7 @@ class TestTables:
         lines = out.splitlines()
         assert lines[0] == "T"
         assert "a" in lines[2] and "bbbb" in lines[2]
-        assert len({len(l) for l in lines[3:]}) <= 2  # consistent widths
+        assert len({len(line) for line in lines[3:]}) <= 2  # consistent widths
 
     def test_render_kv(self):
         out = render_kv({"alpha": 1, "b": 2})
