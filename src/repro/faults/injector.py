@@ -77,8 +77,6 @@ class _SiteFaults:
     launch_fault: Optional[FaultSpec] = None   # transient | stuck
     kernel_fault: Optional[FaultSpec] = None   # oom | capacity
     slow_seconds: float = 0.0
-    #: a launch fault fires on the attempt's first launch (or transfer) only
-    launch_armed: bool = True
 
     def error(self, kind: FaultKind) -> Exception:
         """The injected error a ``kind`` fault raises at this site."""
@@ -182,16 +180,15 @@ class FaultInjector:
                     **detail) -> None:
         """The fault hook of one scope: fire the site's fault, if any.
 
-        A launch or transfer fault fires on the attempt's first launch or
-        transfer only; a kernel fault fires once per attempt, on kernel
+        Each fault fires once per attempt: a launch or transfer fault on
+        the attempt's first launch or transfer, a kernel fault on kernel
         entry.
         """
         if operation == "kernel":
             fault, site.kernel_fault = site.kernel_fault, None
             where = type(detail["kernel"]).__name__
         else:
-            fault = site.launch_fault if site.launch_armed else None
-            site.launch_armed = False
+            fault, site.launch_fault = site.launch_fault, None
             where = f"simulate_{operation}"
         if fault is None:
             return
