@@ -28,8 +28,12 @@ def select_topk(distances: np.ndarray, k: int,
                 ascending: bool = True) -> Tuple[np.ndarray, np.ndarray]:
     """The ``k`` smallest (or largest) entries of each row, sorted.
 
-    Returns ``(values, indices)`` of shape ``(n_rows, k)``. Ties are broken
-    by index order (stable), so results are deterministic.
+    Returns ``(values, indices)`` of shape ``(n_rows, min(k, n_cols))``:
+    the first ``k`` entries of a stable argsort of each row (NaN after
+    ``+inf``, ties by index), found in O(n_cols) per row. Every entry
+    strictly below the row's k-th smallest key is kept, then the
+    lowest-index entries equal to it. The picks do not depend on how the
+    columns were split, so a shard or tile merge selects the same ids.
     """
     distances = np.asarray(distances, dtype=np.float64)
     if distances.ndim != 2:
@@ -38,29 +42,30 @@ def select_topk(distances: np.ndarray, k: int,
     if k <= 0:
         raise ValueError("k must be positive")
     k = min(k, n_cols)
+    if k == 0:
+        return np.empty((n_rows, 0)), np.empty((n_rows, 0), dtype=np.int64)
     keyed = distances if ascending else -distances
-    if k < n_cols:
-        full_idx = np.argpartition(keyed, kth=k - 1, axis=1)
-        part_idx = full_idx[:, :k]
-        # argpartition keeps an *arbitrary* subset of entries tied exactly
-        # at the k boundary, so two runs partitioned differently (e.g. one
-        # shard vs the full block) could keep different ids. Re-select any
-        # row whose boundary value also appears among the excluded entries
-        # with a stable full sort, so boundary ties resolve by index.
-        boundary = np.take_along_axis(keyed, part_idx, axis=1).max(axis=1)
-        excluded = np.take_along_axis(keyed, full_idx[:, k:], axis=1)
-        tied = np.nonzero((excluded == boundary[:, None]).any(axis=1))[0]
-        if tied.size:
-            part_idx = part_idx.copy()
-            part_idx[tied] = np.argsort(keyed[tied], axis=1,
-                                        kind="stable")[:, :k]
-    else:
-        part_idx = np.tile(np.arange(n_cols), (n_rows, 1))
-    part_val = np.take_along_axis(keyed, part_idx, axis=1)
-    # Sort by (value, index) for deterministic tie-breaks.
-    order = np.lexsort((part_idx, part_val), axis=1)
-    idx = np.take_along_axis(part_idx, order, axis=1)
-    val = np.take_along_axis(part_val, order, axis=1)
+    kth = np.partition(keyed, k - 1, axis=1)[:, [k - 1]]
+    keep = keyed < kth
+    tied = keyed == kth
+    # A NaN k-th key (it sorts last) keeps every number and ties the NaNs.
+    nan_rows = np.flatnonzero(np.isnan(kth))
+    if nan_rows.size:
+        tied[nan_rows] = np.isnan(keyed[nan_rows])
+        keep[nan_rows] = ~tied[nan_rows]
+    # A row with more ties than free slots keeps its lowest-index ties,
+    # ranked by a running count in the narrowest dtype that holds n_cols.
+    need = k - np.count_nonzero(keep, axis=1)
+    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > need)
+    rank = np.cumsum(tied[over], axis=1, dtype=np.min_scalar_type(n_cols))
+    tied[over] &= rank <= need[over, None]
+    keep |= tied
+    idx = np.flatnonzero(keep).reshape(n_rows, k) % n_cols
+    val = np.take_along_axis(keyed, idx, axis=1)
+    # Sort the k picks by (value, index).
+    order = np.lexsort((idx, val), axis=1)
+    idx = np.take_along_axis(idx, order, axis=1)
+    val = np.take_along_axis(val, order, axis=1)
     return (val if ascending else -val), idx
 
 
@@ -164,8 +169,6 @@ class TopKAccumulator:
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted ``(distances, indices)`` of the k best seen so far."""
-        if self._values.shape[1] > self.k:
-            self._compact()
         order = np.lexsort((self._indices, self._values), axis=1)
         return (np.take_along_axis(self._values, order, axis=1),
                 np.take_along_axis(self._indices, order, axis=1))
