@@ -71,20 +71,22 @@ def bank_conflicts_for_offsets(offsets: np.ndarray, warp_size: int = 32,
     The stream is chunked into consecutive warps. Within a warp, lanes
     hitting the *same* word broadcast for free; lanes hitting *different*
     words in the same bank serialize, adding one cycle per distinct word
-    in the bank beyond the first. Vectorized with bincount over
-    ``(warp, bank)`` pairs instead of a Python loop per warp.
+    in the bank beyond the first. A word fixes its bank, so a warp's extra
+    cycles are its distinct words minus its distinct banks; both counts
+    come from one sort within each warp, which no int64 offset overflows.
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    n = offsets.size
-    if n == 0:
+    if offsets.size == 0:
         return 0
     words = offsets // itemsize
-    banks = words % n_banks
-    warp_ids = np.arange(n, dtype=np.int64) // warp_size
-    # Count *distinct* words per (warp, bank): dedupe (warp, bank, word).
-    keys = np.stack([warp_ids, banks, words], axis=1)
-    uniq = np.unique(keys, axis=0)
-    pair_ids = uniq[:, 0] * n_banks + uniq[:, 1]
-    per_pair = np.bincount(pair_ids.astype(np.int64))
-    per_pair = per_pair[per_pair > 0]
-    return int(np.sum(per_pair - 1))
+    # Pad the final warp with its last word: a repeat adds no distinct
+    # word or bank.
+    pad = np.repeat(words[-1], -words.size % warp_size)
+    warps = np.concatenate([words, pad]).reshape(-1, warp_size)
+    return _distinct_per_row(warps) - _distinct_per_row(warps % n_banks)
+
+
+def _distinct_per_row(rows: np.ndarray) -> int:
+    """Sum over rows of the number of distinct values in the row."""
+    rows = np.sort(rows, axis=1)
+    return rows.shape[0] + int(np.count_nonzero(rows[:, 1:] != rows[:, :-1]))

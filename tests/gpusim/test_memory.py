@@ -1,6 +1,7 @@
 """Coalescing and bank-conflict model tests."""
 
 import numpy as np
+import pytest
 
 from repro.gpusim.memory import (
     bank_conflicts_for_offsets,
@@ -111,3 +112,21 @@ class TestStreamConflicts:
 
     def test_empty_stream(self):
         assert bank_conflicts_for_offsets(np.array([], dtype=np.int64)) == 0
+
+    @pytest.mark.parametrize("warp_size", [1, 4, 32])
+    @pytest.mark.parametrize("n_banks", [1, 8, 32])
+    @pytest.mark.parametrize("itemsize", [4, 8])
+    def test_random_streams_match_loop_oracle(self, rng, warp_size,
+                                              n_banks, itemsize):
+        # Small and huge offset ranges, with repeats drawn from a short
+        # pool so broadcasts and same-bank words are common.
+        for high in (64, 4096, 2 ** 40):
+            for _ in range(8):
+                pool = rng.integers(0, high, size=rng.integers(1, 40))
+                offsets = rng.choice(pool, size=rng.integers(1, 200))
+                want = sum(
+                    warp_bank_conflicts(offsets[i:i + warp_size], n_banks,
+                                        itemsize)
+                    for i in range(0, offsets.size, warp_size))
+                assert bank_conflicts_for_offsets(
+                    offsets, warp_size, n_banks, itemsize) == want
