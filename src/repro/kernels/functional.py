@@ -39,86 +39,111 @@ __all__ = [
     "gather_intersections",
 ]
 
-#: Cap on gathered intersection elements per vectorized chunk (bounds the
-#: temporary memory of the multi-range gather at ~8 arrays x 8 B x this).
+#: Co-occurrences per chunk of a's nonzeros. The chunk boundaries are a
+#: pinned summation order, not a memory bound: where one falls inside a row
+#: of ``a``, that row's ⊕ = + cells are summed as ``(0 + p1) + p2`` rather
+#: than in one running sum, and pinned digests depend on where they fall.
 _CHUNK_ELEMENTS = 1 << 22
 
+#: Co-occurrences per row block, the unit that bounds the gather's
+#: temporaries (a row alone may hold more). Blocks are cut at a's row
+#: boundaries inside a chunk, so they never change the summation order.
+_BLOCK_ELEMENTS = 1 << 16
 
-def _multi_range_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Indices covering ``[starts[i], starts[i] + lengths[i])`` concatenated.
+_IDEMPOTENT_UFUNCS = {"max": np.maximum, "min": np.minimum}
 
-    The standard vectorized expansion of many index ranges: repeat each
-    start, then add a ramp that resets at every segment boundary.
+
+def _row_blocks(indptr: np.ndarray,
+                cum: np.ndarray) -> Iterator[Tuple[int, int]]:
+    """``[lo, hi)`` ranges of a's nonzeros, one per row block.
+
+    ``cum[p]`` counts the co-occurrences of a's first ``p`` nonzeros. A
+    chunk ends at the first nonzero boundary holding at least
+    :data:`_CHUNK_ELEMENTS` more than its start (one nonzero at least).
+    Inside a chunk, a block ends at the furthest row boundary within
+    :data:`_BLOCK_ELEMENTS` of its start, or at the end of its first row if
+    that row alone holds more.
     """
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(offsets, lengths)
-    return np.repeat(starts, lengths) + ramp
+    nnz = cum.size - 1
+    lo = chunk_end = 0
+    while lo < nnz:
+        if lo == chunk_end:
+            chunk_end = int(np.searchsorted(cum, cum[lo] + _CHUNK_ELEMENTS))
+            chunk_end = min(max(chunk_end, lo + 1), nnz)
+        hi = int(np.searchsorted(cum, cum[lo] + _BLOCK_ELEMENTS,
+                                 side="right")) - 1
+        if hi >= chunk_end:
+            hi = chunk_end
+        else:
+            hi = int(indptr[np.searchsorted(indptr, hi, side="right") - 1])
+            if hi <= lo:
+                hi = min(int(indptr[np.searchsorted(indptr, lo,
+                                                    side="right")]),
+                         chunk_end)
+        yield lo, hi
+        lo = hi
 
 
 def gather_intersections(
-    a: CSRMatrix, b: CSRMatrix, *, chunk_elements: int = _CHUNK_ELEMENTS,
-) -> Iterator[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    a: CSRMatrix, b: CSRMatrix,
+) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """Stream all nonzero-column co-occurrences between rows of a and b.
 
-    Yields chunks of parallel arrays ``(i, j, a_val, b_val)`` — one entry per
-    (row-of-a, row-of-b, shared column) triple. This is the host analogue of
-    the kernel's shared-memory lookup hit stream.
+    Yields row blocks ``(r0, r1, cells, a_val, b_val)``: one entry per
+    (row-of-a ``i`` in ``[r0, r1)``, row-of-b ``j``, shared column) triple,
+    with ``cells = (i - r0) * b.n_rows + j`` indexing the flattened output
+    rows ``out[r0:r1]``. A cell's entries arrive in a's column order, and
+    only a chunk boundary (:data:`_CHUNK_ELEMENTS`) splits a row between
+    blocks. This is the host analogue of the kernel's shared-memory lookup
+    hit stream.
     """
-    bt = b.transpose()  # k x n: column -> rows of b holding it
-    a_rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_degrees())
-    bt_deg = bt.row_degrees()
-    hit_lens = bt_deg[a.indices]  # per a-nonzero: matching b rows
     if a.nnz == 0:
         return
-    # Chunk boundaries over a's nonzeros so each gather stays bounded.
-    cum = np.cumsum(hit_lens)
-    start_nz = 0
-    while start_nz < a.nnz:
-        base = cum[start_nz - 1] if start_nz else 0
-        stop_nz = int(np.searchsorted(cum, base + chunk_elements,
-                                      side="left")) + 1
-        stop_nz = min(max(stop_nz, start_nz + 1), a.nnz)
-        sl = slice(start_nz, stop_nz)
-        lens = hit_lens[sl]
-        gather = _multi_range_gather(bt.indptr[a.indices[sl]], lens)
-        if gather.size:
-            yield (np.repeat(a_rows[sl], lens),
-                   bt.indices[gather],
-                   np.repeat(a.data[sl], lens),
-                   bt.data[gather])
-        start_nz = stop_nz
+    bt = b.transpose()  # k x n: column -> rows of b holding it
+    hit_lens = bt.row_degrees()[a.indices]  # per a-nonzero: matching b rows
+    cum = np.zeros(a.nnz + 1, dtype=np.int64)
+    np.cumsum(hit_lens, out=cum[1:])
+    a_rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_degrees())
+    for lo, hi in _row_blocks(a.indptr, cum):
+        total = int(cum[hi] - cum[lo])
+        if total == 0:
+            continue
+        lens = hit_lens[lo:hi]
+        r0 = int(a_rows[lo])
+        # Each nonzero's hits are one run of bt: repeat every run's start
+        # less its offset in the block, then add a ramp over the block.
+        starts = bt.indptr[a.indices[lo:hi]] - (cum[lo:hi] - cum[lo])
+        gather = np.repeat(starts, lens)
+        gather += np.arange(total, dtype=np.int64)
+        cells = np.repeat((a_rows[lo:hi] - r0) * b.n_rows, lens)
+        cells += bt.indices[gather]
+        yield (r0, int(a_rows[hi - 1]) + 1, cells,
+               np.repeat(a.data[lo:hi], lens), bt.data[gather])
 
 
 def intersection_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
                        product_op: Optional[Callable] = None) -> np.ndarray:
-    """⊕-reduce ⊗ over intersecting nonzero columns for every row pair."""
+    """⊕-reduce ⊗ over intersecting nonzero columns for every row pair.
+
+    Each row block reduces into its own output rows only: ⊕ = + adds the
+    block's ``bincount`` to them, max/min fold in element order.
+    """
     op = product_op if product_op is not None else semiring.product
-    m, n = a.n_rows, b.n_rows
     reduce_name = semiring.reduce.name
-    if reduce_name == "plus":
-        flat = np.zeros(m * n, dtype=np.float64)
-        for i_rows, j_rows, a_vals, b_vals in gather_intersections(a, b):
-            prods = np.asarray(op(a_vals, b_vals), dtype=np.float64)
-            flat += np.bincount(i_rows * n + j_rows, weights=prods,
-                                minlength=m * n)
-        return flat.reshape(m, n)
-    if reduce_name == "max":
-        flat = np.full(m * n, semiring.reduce.identity, dtype=np.float64)
-        for i_rows, j_rows, a_vals, b_vals in gather_intersections(a, b):
-            prods = np.asarray(op(a_vals, b_vals), dtype=np.float64)
-            np.maximum.at(flat, i_rows * n + j_rows, prods)
-        return flat.reshape(m, n)
-    if reduce_name == "min":
-        flat = np.full(m * n, semiring.reduce.identity, dtype=np.float64)
-        for i_rows, j_rows, a_vals, b_vals in gather_intersections(a, b):
-            prods = np.asarray(op(a_vals, b_vals), dtype=np.float64)
-            np.minimum.at(flat, i_rows * n + j_rows, prods)
-        return flat.reshape(m, n)
-    raise SemiringError(
-        f"unsupported reduce monoid {reduce_name!r} for block computation")
+    if reduce_name != "plus" and reduce_name not in _IDEMPOTENT_UFUNCS:
+        raise SemiringError(
+            f"unsupported reduce monoid {reduce_name!r} for block computation")
+    out = np.full((a.n_rows, b.n_rows), semiring.reduce.identity,
+                  dtype=np.float64)
+    for r0, r1, cells, a_vals, b_vals in gather_intersections(a, b):
+        prods = np.asarray(op(a_vals, b_vals), dtype=np.float64)
+        rows = out[r0:r1]
+        if reduce_name == "plus":
+            rows += np.bincount(cells, weights=prods,
+                                minlength=rows.size).reshape(rows.shape)
+        else:
+            _IDEMPOTENT_UFUNCS[reduce_name].at(rows.reshape(-1), cells, prods)
+    return out
 
 
 def co_occurrence_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
@@ -127,11 +152,11 @@ def co_occurrence_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
     This is the structural nonzero pattern a csrgemm-style sparse matmul
     would materialize; the §4.3 memory bench derives output density from it.
     """
-    m, n = a.n_rows, b.n_rows
-    flat = np.zeros(m * n, dtype=np.int64)
-    for i_rows, j_rows, _, _ in gather_intersections(a, b):
-        flat += np.bincount(i_rows * n + j_rows, minlength=m * n).astype(np.int64)
-    return flat.reshape(m, n)
+    out = np.zeros((a.n_rows, b.n_rows), dtype=np.int64)
+    for r0, r1, cells, _, _ in gather_intersections(a, b):
+        rows = out[r0:r1]
+        rows += np.bincount(cells, minlength=rows.size).reshape(rows.shape)
+    return out
 
 
 def _union_block_sum(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> np.ndarray:
@@ -145,7 +170,9 @@ def _union_block_sum(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> np.ndarr
     inter = intersection_block(a, b, semiring, product_op=corrected)
     ra = _row_side_sums(a, lambda v: op(v, np.zeros_like(v)))
     rb = _row_side_sums(b, lambda v: op(np.zeros_like(v), v))
-    return inter + ra[:, None] + rb[None, :]
+    inter += ra[:, None]
+    inter += rb[None, :]
+    return inter
 
 
 def _row_side_sums(x: CSRMatrix, side_op: Callable) -> np.ndarray:
@@ -169,7 +196,7 @@ def _union_block_idempotent(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
     idempotence makes the overlap free).
     """
     op = semiring.product
-    ufunc = {"max": np.maximum, "min": np.minimum}[semiring.reduce.name]
+    ufunc = _IDEMPOTENT_UFUNCS[semiring.reduce.name]
     out = np.full((a.n_rows, b.n_rows), semiring.reduce.identity,
                   dtype=np.float64)
     _sweep_dense_rows(out, a, b, op, ufunc, row_batch, staged_is_b=False)

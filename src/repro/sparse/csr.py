@@ -53,7 +53,7 @@ class CSRMatrix:
         carried along). When false the caller asserts they already are.
     """
 
-    __slots__ = ("indptr", "indices", "data", "_shape")
+    __slots__ = ("indptr", "indices", "data", "_shape", "_transpose")
 
     def __init__(self, indptr, indices, data, shape, *, check: bool = True,
                  sort: bool = True):
@@ -62,6 +62,7 @@ class CSRMatrix:
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float64))
         n_rows, n_cols = int(shape[0]), int(shape[1])
         self._shape = (n_rows, n_cols)
+        self._transpose = None
         if check:
             self._validate()
         if sort:
@@ -217,21 +218,27 @@ class CSRMatrix:
                          self._shape, check=False, sort=False)
 
     def transpose(self) -> "CSRMatrix":
-        """Return the transpose as a *new* CSR matrix.
+        """Return the transpose, built by the first call and cached.
 
-        This is deliberately an explicit full copy: the paper (Section 2)
-        points out that CSR admits no zero-copy transpose, which is exactly
-        the memory cost the csrgemm baseline pays and the semiring kernel
-        avoids. :meth:`transpose` exists so the baseline can pay it honestly.
+        The paper (Section 2) points out that CSR admits no zero-copy
+        transpose, so the first call pays a full copy; later calls return
+        the same object. It is shared, so callers must only read it, as its
+        callers (the intersection gather of :mod:`repro.kernels.functional`
+        and ``graph_semirings.bfs_levels``) do. Two threads may build it at
+        once; both results are equal, so that race is harmless. The csrgemm
+        baseline's transpose cost is modelled in its launch schedule
+        (``baselines/csrgemm.py``), not paid by this host call.
         """
-        m, k = self._shape
-        counts = np.bincount(self.indices, minlength=k)
-        indptr = np.zeros(k + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        rows = np.repeat(np.arange(m, dtype=np.int64), self.row_degrees())
-        order = np.argsort(self.indices, kind="stable")
-        return CSRMatrix(indptr, rows[order], self.data[order], (k, m),
-                         check=False, sort=False)
+        if self._transpose is None:
+            m, k = self._shape
+            counts = np.bincount(self.indices, minlength=k)
+            indptr = np.zeros(k + 1, dtype=np.int64)
+            np.cumsum(counts, out=indptr[1:])
+            rows = np.repeat(np.arange(m, dtype=np.int64), self.row_degrees())
+            order = np.argsort(self.indices, kind="stable")
+            self._transpose = CSRMatrix(indptr, rows[order], self.data[order],
+                                        (k, m), check=False, sort=False)
+        return self._transpose
 
     # ------------------------------------------------------------------
     # internals

@@ -134,6 +134,13 @@ class TestTransforms:
         csr = random_csr(rng, 6, 9)
         assert csr.transpose().transpose().allclose(csr)
 
+    def test_transpose_is_built_once(self, rng):
+        csr = random_csr(rng, 7, 11)
+        first = csr.transpose()
+        assert csr.transpose() is first
+        fresh = csr.copy().transpose()
+        assert fresh is not first and fresh == first
+
     def test_copy_is_independent(self, rng):
         csr = random_csr(rng, 4, 4)
         cp = csr.copy()
