@@ -78,9 +78,11 @@ DGX1_CPU = CpuSpec(name="dgx1-dual-xeon-es2698", n_threads=80,
 class CpuBruteForce:
     """Exact distances + modeled CPU seconds for any catalogue metric."""
 
-    def __init__(self, spec: CpuSpec = DGX1_CPU, *, row_batch: int = 256):
+    #: query rows densified per oracle call in :meth:`pairwise`
+    ROW_BATCH = 256
+
+    def __init__(self, spec: CpuSpec = DGX1_CPU):
         self.spec = spec
-        self.row_batch = int(row_batch)
 
     # ------------------------------------------------------------------
     def pairwise(self, a: CSRMatrix, b: CSRMatrix, metric: str,
@@ -88,8 +90,8 @@ class CpuBruteForce:
         """Exact pairwise distances via the dense oracle, batched."""
         out = np.empty((a.n_rows, b.n_rows), dtype=np.float64)
         b_dense = b.to_dense()
-        for start in range(0, a.n_rows, self.row_batch):
-            stop = min(start + self.row_batch, a.n_rows)
+        for start in range(0, a.n_rows, self.ROW_BATCH):
+            stop = min(start + self.ROW_BATCH, a.n_rows)
             out[start:stop] = pairwise_reference(
                 a.slice_rows(start, stop).to_dense(), b_dense, metric,
                 **params)

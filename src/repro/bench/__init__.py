@@ -20,7 +20,7 @@ from repro.bench.runner import (
     run_serve_cell,
 )
 from repro.bench.runner import run_cpu_cell
-from repro.bench.tables import bold_min, format_seconds, render_kv, render_table
+from repro.bench.tables import bold_min, format_seconds, render_table
 
 __all__ = [
     "BenchCell",
@@ -36,7 +36,6 @@ __all__ = [
     "KNN_K",
     "MINKOWSKI_P",
     "render_table",
-    "render_kv",
     "format_seconds",
     "bold_min",
     "results_dir",

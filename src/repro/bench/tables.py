@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence
+from typing import List, Sequence
 
-__all__ = ["render_table", "render_kv", "format_seconds", "bold_min"]
+__all__ = ["render_table", "format_seconds", "bold_min"]
 
 
 def format_seconds(value: float) -> str:
@@ -45,11 +45,3 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[str]],
         lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def render_kv(pairs: Mapping[str, object], title: str = "") -> str:
-    """Aligned key/value block."""
-    width = max((len(k) for k in pairs), default=0)
-    lines = [title] if title else []
-    for k, v in pairs.items():
-        lines.append(f"{k.ljust(width)} : {v}")
-    return "\n".join(lines)

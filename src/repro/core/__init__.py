@@ -18,10 +18,9 @@ from repro.core.distances import (
     canonical_name,
     make_distance,
 )
-from repro.core.monoid import MAX, MIN, PLUS, TIMES, Monoid, monoid_from_name
+from repro.core.monoid import MAX, MIN, PLUS, TIMES, Monoid
 from repro.core.norms import NORM_KINDS, compute_norms
 from repro.core.pairwise import PairwiseResult, pairwise_distances, prepare_matrix
-from repro.core.preprocess import binarize, normalize_rows, tfidf_transform
 from repro.core.reference import pairwise_reference, reference_distance_names
 from repro.core.registry import (
     get_distance,
@@ -35,17 +34,9 @@ from repro.core.semiring import (
     namm_semiring,
     tropical_semiring,
 )
-# imported last: graph_semirings pulls in repro.kernels, which imports
-# submodules of this package
-from repro.core.graph_semirings import (
-    bfs_levels,
-    boolean_semiring,
-    count_triangles,
-    reachable_within,
-)
 
 __all__ = [
-    "Monoid", "PLUS", "TIMES", "MIN", "MAX", "monoid_from_name",
+    "Monoid", "PLUS", "TIMES", "MIN", "MAX",
     "Semiring", "dot_product_semiring", "namm_semiring", "tropical_semiring",
     "DistanceMeasure", "make_distance", "available_distances",
     "canonical_name", "EXPANDED", "NAMM",
@@ -55,6 +46,4 @@ __all__ = [
     "pairwise_reference", "reference_distance_names",
     "register_custom_distance", "unregister_distance", "get_distance",
     "list_distances",
-    "boolean_semiring", "bfs_levels", "reachable_within", "count_triangles",
-    "normalize_rows", "binarize", "tfidf_transform",
 ]

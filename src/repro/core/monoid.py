@@ -26,7 +26,6 @@ __all__ = [
     "TIMES",
     "MIN",
     "MAX",
-    "monoid_from_name",
 ]
 
 #: A vectorized binary operation over numpy arrays (broadcasting allowed).
@@ -107,15 +106,3 @@ TIMES = Monoid("times", np.multiply, identity=1.0, commutative=True,
                annihilator=0.0)
 MIN = Monoid("min", np.minimum, identity=float("inf"), commutative=True)
 MAX = Monoid("max", np.maximum, identity=0.0, commutative=True)
-
-_BY_NAME = {m.name: m for m in (PLUS, TIMES, MIN, MAX)}
-
-
-def monoid_from_name(name: str) -> Monoid:
-    """Look up one of the built-in monoids by name."""
-    try:
-        return _BY_NAME[name.lower()]
-    except KeyError:
-        raise SemiringError(
-            f"unknown monoid {name!r}; built-ins are {sorted(_BY_NAME)}"
-        ) from None

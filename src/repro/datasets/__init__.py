@@ -12,16 +12,9 @@ from repro.datasets.degree import (
     degree_balanced_shards,
     degree_cdf,
     degree_percentile,
-    degree_summary,
     fraction_below,
 )
 from repro.datasets.featurize import CharNgramVectorizer, TfidfVectorizer
-from repro.datasets.loaders import (
-    load_csr,
-    load_saved_dataset,
-    save_csr,
-    save_dataset,
-)
 from repro.datasets.synthetic import (
     DATASET_PAPER_FACTS,
     SyntheticDataset,
@@ -39,14 +32,9 @@ __all__ = [
     "degree_cdf",
     "degree_percentile",
     "fraction_below",
-    "degree_summary",
     "degree_balanced_shards",
     "TfidfVectorizer",
     "CharNgramVectorizer",
-    "save_csr",
-    "load_csr",
-    "save_dataset",
-    "load_saved_dataset",
     "generate_documents",
     "generate_company_names",
 ]

@@ -10,14 +10,14 @@ the percentile queries its assertions use.
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 from repro.sparse.csr import CSRMatrix
 
 __all__ = ["degree_cdf", "degree_percentile", "fraction_below",
-           "degree_summary", "degree_balanced_shards", "balanced_split"]
+           "degree_balanced_shards", "balanced_split"]
 
 
 def degree_cdf(matrix: CSRMatrix) -> Tuple[np.ndarray, np.ndarray]:
@@ -106,18 +106,3 @@ def degree_balanced_shards(matrix: CSRMatrix,
     """
     return balanced_split(matrix, n_shards, axis=0)
 
-
-def degree_summary(matrix: CSRMatrix) -> Dict[str, float]:
-    """Min/median/mean/p90/p99/max degree digest used by reports."""
-    deg = matrix.row_degrees()
-    if deg.size == 0:
-        return {k: 0.0 for k in
-                ("min", "median", "mean", "p90", "p99", "max")}
-    return {
-        "min": float(deg.min()),
-        "median": float(np.median(deg)),
-        "mean": float(deg.mean()),
-        "p90": float(np.quantile(deg, 0.90)),
-        "p99": float(np.quantile(deg, 0.99)),
-        "max": float(deg.max()),
-    }

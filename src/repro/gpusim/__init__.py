@@ -26,7 +26,6 @@ from repro.gpusim.memory import (
     TRANSACTION_BYTES,
     bank_conflicts_for_offsets,
     coalesced_transactions,
-    strided_transactions,
     uncoalesced_transactions,
 )
 from repro.gpusim.occupancy import Occupancy, compute_occupancy
@@ -62,6 +61,5 @@ __all__ = [
     "TRANSACTION_BYTES",
     "coalesced_transactions",
     "uncoalesced_transactions",
-    "strided_transactions",
     "bank_conflicts_for_offsets",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "TRANSACTION_BYTES",
     "coalesced_transactions",
     "uncoalesced_transactions",
-    "strided_transactions",
     "bank_conflicts_for_offsets",
 ]
 
@@ -44,23 +43,6 @@ def coalesced_transactions(n_elements: int, itemsize: int = 4,
 def uncoalesced_transactions(n_elements: int) -> float:
     """Scattered accesses: every element pays a full transaction."""
     return float(max(0, n_elements))
-
-
-def strided_transactions(n_elements: int, stride_elements: int,
-                         itemsize: int = 4, warp_size: int = 32) -> float:
-    """Transactions for a constant-stride access pattern.
-
-    A stride of 1 coalesces perfectly; a stride of ``TRANSACTION_BYTES /
-    itemsize`` or more degenerates to one transaction per element; strides
-    in between touch proportionally many sectors per warp.
-    """
-    if n_elements <= 0:
-        return 0.0
-    if stride_elements <= 1:
-        return coalesced_transactions(n_elements, itemsize, warp_size)
-    elements_per_transaction = max(
-        1, TRANSACTION_BYTES // (stride_elements * itemsize))
-    return float(-(-n_elements // elements_per_transaction))
 
 
 def bank_conflicts_for_offsets(offsets: np.ndarray, warp_size: int = 32,

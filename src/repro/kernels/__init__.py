@@ -42,7 +42,6 @@ from repro.kernels.hash_table import BlockHashTable, murmur_hash_32
 from repro.kernels.host import HostKernel
 from repro.kernels.merge_path import MergePathKernel, SweepProfile
 from repro.kernels.naive_csr import NaiveCsrKernel
-from repro.kernels.segmented import segment_boundaries, warp_segmented_reduce
 from repro.kernels.strategy import (
     PartitionPlan,
     RowCacheStrategy,
@@ -73,8 +72,6 @@ __all__ = [
     "union_block",
     "semiring_block",
     "co_occurrence_counts",
-    "warp_segmented_reduce",
-    "segment_boundaries",
     "product_cost_profile",
     "EngineInfo",
     "make_engine",

@@ -137,16 +137,17 @@ class LoadBalancedCooKernel(PairwiseKernel):
     REGS_PER_THREAD = 31
     #: staged blocks whose hash tables the probe sampler builds
     STATS_SAMPLE_ROWS = 64
+    #: streamed column ids the probe sampler looks up in those tables
+    STATS_SAMPLE_QUERIES = 32768
     #: seed of the probe sampler's generator, drawn afresh per schedule
     RNG_SEED = 0
 
     def __init__(self, spec: DeviceSpec = VOLTA_V100, *,
-                 row_cache: str = "auto", stats_sample_queries: int = 32768):
+                 row_cache: str = "auto"):
         super().__init__(spec)
         if row_cache != "auto":
             row_cache = RowCacheStrategy(row_cache)
         self.row_cache = row_cache
-        self.stats_sample_queries = int(stats_sample_queries)
 
     # ------------------------------------------------------------------
     def schedule(self, a: CSRMatrix, b: CSRMatrix,
@@ -335,8 +336,8 @@ class LoadBalancedCooKernel(PairwiseKernel):
             0, n_blocks - 1, num=min(self.STATS_SAMPLE_ROWS, n_blocks),
             dtype=np.int64))
         queries = streamed.indices
-        if queries.size > self.stats_sample_queries:
-            queries = rng.choice(queries, size=self.stats_sample_queries,
+        if queries.size > self.STATS_SAMPLE_QUERIES:
+            queries = rng.choice(queries, size=self.STATS_SAMPLE_QUERIES,
                                  replace=False)
         cap = hash_capacity(self.spec)
         total_ins = total_ins_probes = 0

@@ -6,14 +6,13 @@ style connectivities).
 """
 
 from repro.neighbors.brute_force import KnnQueryReport, NearestNeighbors
-from repro.neighbors.estimators import KNeighborsClassifier, KNeighborsRegressor
+from repro.neighbors.estimators import KNeighborsClassifier
 from repro.neighbors.graph import knn_graph, symmetrize
 from repro.neighbors.topk import TopKAccumulator, select_topk
 
 __all__ = [
     "NearestNeighbors",
     "KNeighborsClassifier",
-    "KNeighborsRegressor",
     "KnnQueryReport",
     "knn_graph",
     "symmetrize",

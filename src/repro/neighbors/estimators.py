@@ -1,8 +1,8 @@
-"""k-NN classification and regression on the sparse semiring primitive.
+"""k-NN classification on the sparse semiring primitive.
 
 The paper motivates the primitive with "classification, retrieval, and
-visualization applications" built on nearest-neighbor queries. These two
-estimators close the classification loop with the standard scikit-learn
+visualization applications" built on nearest-neighbor queries. This
+estimator closes the classification loop with the standard scikit-learn
 semantics (uniform or distance weighting), running every query through the
 same batched, simulated-device pairwise machinery.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from repro.errors import ReproError
 from repro.neighbors.brute_force import NearestNeighbors
 
-__all__ = ["KNeighborsClassifier", "KNeighborsRegressor"]
+__all__ = ["KNeighborsClassifier"]
 
 
 def _distance_weights(distances: np.ndarray) -> np.ndarray:
@@ -30,7 +30,9 @@ def _distance_weights(distances: np.ndarray) -> np.ndarray:
     return w
 
 
-class _KnnBase:
+class KNeighborsClassifier:
+    """Majority-vote (optionally distance-weighted) k-NN classification."""
+
     def __init__(self, n_neighbors: int = 5, *, metric: str = "euclidean",
                  weights: str = "uniform", metric_params: Optional[dict] = None,
                  engine="hybrid_coo", device="volta", batch_rows: int = 4096):
@@ -43,7 +45,7 @@ class _KnnBase:
                                     batch_rows=batch_rows)
         self._targets: Optional[np.ndarray] = None
 
-    def _fit(self, x, y) -> None:
+    def fit(self, x, y) -> "KNeighborsClassifier":
         y = np.asarray(y)
         self._nn.fit(x)
         if y.shape[0] != self._nn.n_samples_fit:
@@ -51,35 +53,23 @@ class _KnnBase:
                 f"X has {self._nn.n_samples_fit} rows but y has "
                 f"{y.shape[0]} targets")
         self._targets = y
-
-    def _neighbors(self, x):
-        if self._targets is None:
-            raise ReproError("estimator is not fitted; call .fit(X, y)")
-        return self._nn.kneighbors(x)
-
-    def _weight_matrix(self, distances: np.ndarray) -> np.ndarray:
-        if self.weights == "uniform":
-            return np.ones_like(distances)
-        return _distance_weights(distances)
+        self.classes_ = np.unique(y)
+        self._class_index = {c: i for i, c in enumerate(self.classes_)}
+        return self
 
     @property
     def last_report(self):
         """Execution record of the most recent query (see NearestNeighbors)."""
         return self._nn.last_report
 
-
-class KNeighborsClassifier(_KnnBase):
-    """Majority-vote (optionally distance-weighted) k-NN classification."""
-
-    def fit(self, x, y) -> "KNeighborsClassifier":
-        self._fit(x, y)
-        self.classes_ = np.unique(self._targets)
-        self._class_index = {c: i for i, c in enumerate(self.classes_)}
-        return self
-
     def predict_proba(self, x=None) -> np.ndarray:
-        distances, indices = self._neighbors(x)
-        weights = self._weight_matrix(distances)
+        if self._targets is None:
+            raise ReproError("estimator is not fitted; call .fit(X, y)")
+        distances, indices = self._nn.kneighbors(x)
+        if self.weights == "uniform":
+            weights = np.ones_like(distances)
+        else:
+            weights = _distance_weights(distances)
         n_queries = indices.shape[0]
         proba = np.zeros((n_queries, self.classes_.size))
         neighbor_classes = np.vectorize(self._class_index.get)(
@@ -97,33 +87,3 @@ class KNeighborsClassifier(_KnnBase):
     def score(self, x, y) -> float:
         """Mean accuracy on the given queries."""
         return float(np.mean(self.predict(x) == np.asarray(y)))
-
-
-class KNeighborsRegressor(_KnnBase):
-    """Mean (optionally distance-weighted) k-NN regression."""
-
-    def fit(self, x, y) -> "KNeighborsRegressor":
-        y = np.asarray(y, dtype=np.float64)
-        self._fit(x, y)
-        return self
-
-    def predict(self, x=None) -> np.ndarray:
-        distances, indices = self._neighbors(x)
-        weights = self._weight_matrix(distances)
-        neighbor_targets = self._targets[indices]
-        totals = weights.sum(axis=1)
-        out = (weights * neighbor_targets).sum(axis=1)
-        np.divide(out, totals, out=out, where=totals > 0)
-        # all-zero weights (shouldn't happen for k >= 1): fall back to mean
-        fallback = totals <= 0
-        if fallback.any():
-            out[fallback] = neighbor_targets[fallback].mean(axis=1)
-        return out
-
-    def score(self, x, y) -> float:
-        """Coefficient of determination R^2."""
-        y = np.asarray(y, dtype=np.float64)
-        pred = self.predict(x)
-        ss_res = float(((y - pred) ** 2).sum())
-        ss_tot = float(((y - y.mean()) ** 2).sum())
-        return 1.0 - ss_res / ss_tot if ss_tot > 0 else 0.0

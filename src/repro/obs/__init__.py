@@ -54,9 +54,6 @@ from repro.obs.profile import (
 from repro.obs.telemetry import (
     EVENT_KINDS,
     EVENT_SCHEMA,
-    EventSink,
-    FileSink,
-    RingBufferSink,
     SamplingDecision,
     SamplingPolicy,
     SamplingReport,
@@ -125,9 +122,6 @@ __all__ = [
     "resolve_trace",
     # telemetry spine (DESIGN.md §16)
     "Telemetry",
-    "EventSink",
-    "RingBufferSink",
-    "FileSink",
     "SamplingPolicy",
     "SamplingDecision",
     "SamplingReport",

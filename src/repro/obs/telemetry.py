@@ -14,13 +14,11 @@ deadline miss be walked back to the exact request that caused it.
 
 **Wide events.** One canonical, schema-versioned record per request,
 tile, transfer, fault, failover, shed, and compaction
-(:data:`EVENT_KINDS`), emitted through pluggable :class:`EventSink`
-implementations (:class:`RingBufferSink` in memory,
-:class:`FileSink` as JSONL). All timestamps are *simulated*
-milliseconds; emission happens at deterministic points (batch
-resolution under the server lock, the distributed executor's serial
-comm loop), so serial and N-worker runs produce identical streams —
-events never record worker-lane identity.
+(:data:`EVENT_KINDS`), validated on emit and kept in memory in emission
+order. All timestamps are *simulated* milliseconds; emission happens at
+deterministic points (batch resolution under the server lock, the
+distributed executor's serial comm loop), so serial and N-worker runs
+produce identical streams — events never record worker-lane identity.
 
 **Deterministic head+tail sampling.** :meth:`Telemetry.finalize`
 replays a seeded head-sampling policy (keyed hash of the trace id, no
@@ -33,19 +31,15 @@ execution of the same workload.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import threading
-from collections import deque
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.obs.metrics import NULL_METRICS
 
 __all__ = [
     "SCHEMA_VERSION", "EVENT_KINDS", "EVENT_SCHEMA", "validate_event",
     "deterministic_trace_id", "trace_id_for_request", "derive_span_id",
-    "EventSink", "RingBufferSink", "FileSink",
     "SamplingPolicy", "SamplingDecision", "SamplingReport", "Telemetry",
 ]
 
@@ -148,56 +142,6 @@ def derive_span_id(trace_id: str, *parts) -> str:
 
 
 # ---------------------------------------------------------------------
-# sinks
-# ---------------------------------------------------------------------
-class EventSink:
-    """Receives each emitted record; subclass to route events anywhere."""
-
-    def emit(self, record: dict) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class RingBufferSink(EventSink):
-    """Keeps the most recent ``capacity`` records in memory."""
-
-    def __init__(self, capacity: int = 4096):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = int(capacity)
-        self._buf: deque = deque(maxlen=self.capacity)
-
-    def emit(self, record: dict) -> None:
-        self._buf.append(record)
-
-    def records(self) -> List[dict]:
-        return list(self._buf)
-
-    def __len__(self) -> int:
-        return len(self._buf)
-
-
-class FileSink(EventSink):
-    """Appends each record as one JSON line to ``path``."""
-
-    def __init__(self, path: Union[str, Path]):
-        self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._fh = self.path.open("w")
-
-    def emit(self, record: dict) -> None:
-        self._fh.write(json.dumps(record, sort_keys=True,
-                                  separators=(",", ":")) + "\n")
-
-    def close(self) -> None:
-        if not self._fh.closed:
-            self._fh.flush()
-            self._fh.close()
-
-
-# ---------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------
 class SamplingPolicy:
@@ -207,21 +151,20 @@ class SamplingPolicy:
     by a seeded keyed hash of the trace id — deterministic, uniform, and
     independent of arrival or completion order. The tail rules are not
     knobs: faulted, degraded, deadline-missed, and slowest-p99 traces
-    are always retained (``p99_quantile`` positions the slow-tail
+    are always retained (:attr:`P99_QUANTILE` positions the slow-tail
     threshold).
     """
 
-    __slots__ = ("head_rate", "seed", "p99_quantile")
+    __slots__ = ("head_rate", "seed")
 
-    def __init__(self, head_rate: float = 0.1, seed: int = 0,
-                 p99_quantile: float = 0.99):
+    #: latency quantile at or above which a request is "slowest p99"
+    P99_QUANTILE = 0.99
+
+    def __init__(self, head_rate: float = 0.1, seed: int = 0):
         if not 0.0 <= head_rate <= 1.0:
             raise ValueError(f"head_rate must be in [0, 1], got {head_rate}")
-        if not 0.0 < p99_quantile <= 1.0:
-            raise ValueError("p99_quantile must be in (0, 1]")
         self.head_rate = float(head_rate)
         self.seed = int(seed)
-        self.p99_quantile = float(p99_quantile)
 
     def head_keep(self, trace_id: str) -> bool:
         """Seeded head decision: hash the trace id into [0, 1) and keep
@@ -291,7 +234,7 @@ class SamplingReport:
 # the collector
 # ---------------------------------------------------------------------
 class Telemetry:
-    """Collects wide events, fans them to sinks, and samples traces.
+    """Collects wide events in emission order and samples traces.
 
     Thread-safe, but emission *order* is the caller's contract: the
     serve/dist layers emit only from deterministic single-threaded
@@ -305,11 +248,8 @@ class Telemetry:
     """
 
     def __init__(self, *, policy: Optional[SamplingPolicy] = None,
-                 sinks: Optional[Sequence[EventSink]] = None,
-                 metrics=None, capacity: int = 4096):
+                 metrics=None):
         self.policy = policy if policy is not None else SamplingPolicy()
-        self.ring = RingBufferSink(capacity)
-        self.sinks: List[EventSink] = [self.ring, *(sinks or ())]
         self.metrics = metrics if metrics is not None else NULL_METRICS
         self._lock = threading.Lock()
         self._events: List[dict] = []
@@ -340,8 +280,6 @@ class Telemetry:
             self._ordinals[key] = ordinal + 1
             self._events.append(record)
             self._report = None  # new data invalidates cached sampling
-            for sink in self.sinks:
-                sink.emit(record)
         self.metrics.counter(
             "telemetry_events_total",
             "wide events emitted, by kind").inc(kind=kind)
@@ -400,7 +338,7 @@ class Telemetry:
             # index of the q-quantile sample (ceil(q*n)-1): the value at
             # or above which a request counts as "slowest p99"
             idx = max(0, math.ceil(len(latencies)
-                                   * self.policy.p99_quantile) - 1)
+                                   * self.policy.P99_QUANTILE) - 1)
             threshold = latencies[idx]
 
         decisions = []
@@ -446,7 +384,3 @@ class Telemetry:
                     if r["trace_id"] in kept
                     or any(t in kept for t in
                            r["attrs"].get("member_trace_ids", ()))]
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()

@@ -11,21 +11,11 @@ from repro.sparse.builder import CSRRowBuilder
 from repro.sparse.coo import COOMatrix
 from repro.sparse.convert import as_csr, from_scipy, to_scipy_csr
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.elementwise import (
-    diagonal,
-    ewise_add,
-    ewise_mult,
-    scale_rows,
-    total_sum,
-)
 from repro.sparse.ops import (
     even_row_bands,
     iter_row_batches,
-    n_row_batches,
-    row_means,
     row_norms,
     row_sums,
-    sparse_equal_dense,
     vstack,
 )
 
@@ -39,15 +29,7 @@ __all__ = [
     "to_scipy_csr",
     "row_norms",
     "row_sums",
-    "row_means",
     "vstack",
     "iter_row_batches",
-    "n_row_batches",
     "even_row_bands",
-    "sparse_equal_dense",
-    "ewise_mult",
-    "ewise_add",
-    "scale_rows",
-    "total_sum",
-    "diagonal",
 ]

@@ -223,8 +223,8 @@ class CSRMatrix:
         The paper (Section 2) points out that CSR admits no zero-copy
         transpose, so the first call pays a full copy; later calls return
         the same object. It is shared, so callers must only read it, as its
-        callers (the intersection gather of :mod:`repro.kernels.functional`
-        and ``graph_semirings.bfs_levels``) do. Two threads may build it at
+        one caller, the intersection gather of
+        :mod:`repro.kernels.functional`, does. Two threads may build it at
         once; both results are equal, so that race is harmless. The csrgemm
         baseline's transpose cost is modelled in its launch schedule
         (``baselines/csrgemm.py``), not paid by this host call.

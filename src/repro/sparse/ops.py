@@ -18,12 +18,9 @@ from repro.sparse.csr import CSRMatrix
 __all__ = [
     "row_norms",
     "row_sums",
-    "row_means",
     "vstack",
     "iter_row_batches",
-    "n_row_batches",
     "even_row_bands",
-    "sparse_equal_dense",
 ]
 
 #: Norm kinds accepted by :func:`row_norms`, mirroring the "Norm" column of
@@ -57,13 +54,6 @@ def row_norms(x: CSRMatrix, kind: str = "l2") -> np.ndarray:
 def row_sums(x: CSRMatrix) -> np.ndarray:
     """Plain per-row sums (used by mean-centering for Correlation)."""
     return _segment_sum_rows(x, x.data)
-
-
-def row_means(x: CSRMatrix) -> np.ndarray:
-    """Per-row means over the *full* dimensionality ``k`` (zeros included)."""
-    if x.n_cols == 0:
-        return np.zeros(x.n_rows, dtype=np.float64)
-    return row_sums(x) / float(x.n_cols)
 
 
 def _segment_sum_rows(x: CSRMatrix, values: np.ndarray) -> np.ndarray:
@@ -100,13 +90,6 @@ def vstack(blocks: Sequence[CSRMatrix]) -> CSRMatrix:
         check=False, sort=False)
 
 
-def n_row_batches(n_rows: int, batch_rows: int) -> int:
-    """Number of batches :func:`iter_row_batches` will yield."""
-    if batch_rows <= 0:
-        raise ValueError("batch_rows must be positive")
-    return max(1, -(-n_rows // batch_rows)) if n_rows else 0
-
-
 def even_row_bands(n_rows: int, max_rows: int) -> np.ndarray:
     """Boundaries of near-equal row bands no wider than ``max_rows``.
 
@@ -138,11 +121,3 @@ def iter_row_batches(x: CSRMatrix, batch_rows: int) -> Iterator[Tuple[int, CSRMa
     for start in range(0, x.n_rows, batch_rows):
         yield start, x.slice_rows(start, min(start + batch_rows, x.n_rows))
 
-
-def sparse_equal_dense(x: CSRMatrix, dense: np.ndarray, *, rtol: float = 1e-9,
-                       atol: float = 1e-12) -> bool:
-    """Oracle helper: does ``x`` round-trip to the given dense array?"""
-    dense = np.asarray(dense, dtype=np.float64)
-    if dense.shape != x.shape:
-        return False
-    return bool(np.allclose(x.to_dense(), dense, rtol=rtol, atol=atol))

@@ -10,10 +10,11 @@ from tests.conftest import random_csr
 
 class TestExactValues:
     @pytest.mark.parametrize("metric", ["cosine", "manhattan", "chebyshev"])
-    def test_matches_reference(self, rng, metric):
+    def test_matches_reference(self, rng, monkeypatch, metric):
+        monkeypatch.setattr(CpuBruteForce, "ROW_BATCH", 5)  # 12 rows: 3 batches
         a = random_csr(rng, 12, 9)
         b = random_csr(rng, 8, 9)
-        cpu = CpuBruteForce(row_batch=5)
+        cpu = CpuBruteForce()
         got = cpu.pairwise(a, b, metric)
         want = pairwise_reference(a.to_dense(), b.to_dense(), metric)
         np.testing.assert_allclose(got, want, atol=1e-9)

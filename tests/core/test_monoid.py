@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.monoid import MAX, MIN, PLUS, TIMES, Monoid, monoid_from_name
+from repro.core.monoid import MAX, MIN, PLUS, TIMES, Monoid
 from repro.errors import SemiringError
 
 
@@ -46,16 +46,6 @@ class TestBuiltins:
         out = PLUS(np.ones((2, 1)), np.ones((1, 3)))
         assert out.shape == (2, 3)
         np.testing.assert_allclose(out, 2.0)
-
-
-class TestLookup:
-    @pytest.mark.parametrize("name", ["plus", "times", "min", "max", "PLUS"])
-    def test_known(self, name):
-        assert monoid_from_name(name).name == name.lower()
-
-    def test_unknown(self):
-        with pytest.raises(SemiringError, match="unknown monoid"):
-            monoid_from_name("xor")
 
 
 class TestCustomMonoid:

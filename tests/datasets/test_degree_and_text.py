@@ -9,7 +9,6 @@ from repro.datasets.degree import (
     degree_balanced_shards,
     degree_cdf,
     degree_percentile,
-    degree_summary,
     fraction_below,
 )
 from repro.datasets.featurize import CharNgramVectorizer, TfidfVectorizer
@@ -33,15 +32,6 @@ class TestDegreeCdf:
         # degrees 1..10 uniformly
         assert degree_percentile(m, 0.0) == 1.0
         assert fraction_below(m, 6) == pytest.approx(0.5)
-
-    def test_summary_keys(self, rng):
-        s = degree_summary(random_csr(rng, 20, 10))
-        assert set(s) == {"min", "median", "mean", "p90", "p99", "max"}
-        assert s["min"] <= s["median"] <= s["p99"] <= s["max"]
-
-    def test_summary_empty(self):
-        s = degree_summary(CSRMatrix.empty((0, 3)))
-        assert all(v == 0.0 for v in s.values())
 
 
 class TestBalancedSplit:

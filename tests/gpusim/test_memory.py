@@ -6,7 +6,6 @@ import pytest
 from repro.gpusim.memory import (
     bank_conflicts_for_offsets,
     coalesced_transactions,
-    strided_transactions,
     uncoalesced_transactions,
 )
 
@@ -55,18 +54,6 @@ class TestCoalescing:
         n = 3200
         assert (uncoalesced_transactions(n)
                 == 32 * coalesced_transactions(n, itemsize=4))
-
-
-class TestStrided:
-    def test_stride_one_equals_coalesced(self):
-        assert strided_transactions(64, 1) == coalesced_transactions(64)
-
-    def test_huge_stride_equals_uncoalesced(self):
-        assert strided_transactions(64, 1000) == uncoalesced_transactions(64)
-
-    def test_intermediate_stride_between(self):
-        mid = strided_transactions(64, 4)
-        assert coalesced_transactions(64) < mid <= uncoalesced_transactions(64)
 
 
 class TestBankConflicts:

@@ -5,7 +5,8 @@ else: the base class launches that schedule in ``run`` and prices it in
 ``estimate_seconds``. These tests pin what that buys — schedules are pure
 (equal operands, equal schedules, any call order), pricing a schedule
 equals launching it, launching never mutates it, and the hybrid kernel's
-cached stream costs are exactly the recount.
+cached stream costs are exactly the recount, whose atomic count keeps the
+§3.3 bound.
 """
 
 import sys
@@ -55,14 +56,14 @@ def test_price_equals_launch_and_launching_is_repeatable(rng, engine, metric):
     assert first[1] == second[1]
 
 
-def test_sampled_schedule_is_pure_across_calls(rng):
+def test_sampled_schedule_is_pure_across_calls(rng, monkeypatch):
     """The hash-probe sampler subsamples lookups with a seeded generator;
     it is seeded per schedule, so one instance gives the same schedule on
     every call instead of drifting as a shared generator advances."""
-    kernel = LoadBalancedCooKernel(VOLTA_V100, row_cache="hash",
-                                   stats_sample_queries=8)
+    monkeypatch.setattr(LoadBalancedCooKernel, "STATS_SAMPLE_QUERIES", 8)
+    kernel = LoadBalancedCooKernel(VOLTA_V100, row_cache="hash")
     a, b, semiring = _operands(rng, "manhattan")
-    assert b.nnz > kernel.stats_sample_queries  # the sampler engages
+    assert b.nnz > kernel.STATS_SAMPLE_QUERIES  # the sampler engages
     runs = [kernel.run(a, b, semiring) for _ in range(3)]
     assert len({r.seconds for r in runs}) == 1
     assert all(r.stats.as_dict() == runs[0].stats.as_dict() for r in runs)
@@ -77,6 +78,26 @@ def test_host_engine_is_the_empty_schedule(rng):
     result = kernel.run(a, b, semiring)
     assert result.seconds == 0.0
     assert result.stats.as_dict() == KernelStats().as_dict()
+
+
+class TestAtomicBound:
+    """§3.3: segment-leader atomics are bounded by the active warps over
+    each row of the stream."""
+
+    def test_single_long_row_one_atomic_per_warp(self):
+        row = CSRMatrix.from_dense(np.ones((1, 320)))
+        assert coo_spmv._atomics_per_block(row, VOLTA_V100) == 10
+
+    def test_one_nonzero_rows_one_atomic_each(self):
+        eye = CSRMatrix.from_dense(np.eye(64))
+        assert coo_spmv._atomics_per_block(eye, VOLTA_V100) == 64
+
+    def test_between_rows_and_warps_plus_rows(self, rng):
+        x = random_csr(rng, 50, 40, 0.5)
+        atomics = coo_spmv._atomics_per_block(x, VOLTA_V100)
+        n_rows = int(np.count_nonzero(x.row_degrees()))
+        n_warps = -(-x.nnz // VOLTA_V100.warp_size)
+        assert n_rows <= atomics <= n_warps + n_rows
 
 
 def test_stream_cost_cache_hit_equals_recount(rng):

@@ -1,10 +1,10 @@
-"""k-NN classifier / regressor tests."""
+"""k-NN classifier tests."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.neighbors.estimators import KNeighborsClassifier, KNeighborsRegressor
+from repro.neighbors.estimators import KNeighborsClassifier
 
 
 def _blobs(rng, n_per=40, k=12, separation=3.0):
@@ -65,34 +65,3 @@ class TestClassifier:
         assert clf.score(x, y) > 0.85
         assert clf.last_report.simulated_seconds > 0
 
-
-class TestRegressor:
-    def test_recovers_smooth_function(self, rng):
-        x = rng.random((120, 4))
-        y = x.sum(axis=1)
-        reg = KNeighborsRegressor(n_neighbors=4).fit(x, y)
-        q = rng.random((30, 4))
-        pred = reg.predict(q)
-        assert np.abs(pred - q.sum(axis=1)).mean() < 0.3
-        assert reg.score(q, q.sum(axis=1)) > 0.5
-
-    def test_distance_weighting_exact_match(self, rng):
-        x = rng.random((50, 5))
-        y = rng.random(50)
-        reg = KNeighborsRegressor(n_neighbors=5, weights="distance",
-                                  metric="manhattan").fit(x, y)
-        np.testing.assert_allclose(reg.predict(x[:8]), y[:8], atol=1e-9)
-
-    def test_uniform_is_neighbor_mean(self, rng):
-        x = rng.random((20, 3))
-        y = rng.random(20)
-        reg = KNeighborsRegressor(n_neighbors=3).fit(x, y)
-        dist, idx = reg._nn.kneighbors(x[:5])
-        np.testing.assert_allclose(reg.predict(x[:5]),
-                                   y[idx].mean(axis=1), atol=1e-12)
-
-    def test_constant_targets_score(self, rng):
-        x = rng.random((15, 3))
-        y = np.ones(15)
-        reg = KNeighborsRegressor(n_neighbors=3).fit(x, y)
-        assert reg.score(x, y) == 0.0  # ss_tot == 0 convention

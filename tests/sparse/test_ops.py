@@ -5,16 +5,8 @@ import pytest
 
 from repro.errors import ShapeMismatchError
 from repro.sparse.csr import CSRMatrix
-from repro.sparse.ops import (
-    iter_row_batches,
-    n_row_batches,
-    row_means,
-    row_norms,
-    row_sums,
-    sparse_equal_dense,
-    vstack,
-)
-from tests.conftest import random_csr, random_dense
+from repro.sparse.ops import iter_row_batches, row_norms, row_sums, vstack
+from tests.conftest import random_csr
 
 
 class TestRowNorms:
@@ -57,14 +49,6 @@ class TestRowSumsMeans:
         csr = random_csr(rng, 6, 9)
         np.testing.assert_allclose(row_sums(csr), csr.to_dense().sum(axis=1))
 
-    def test_row_means_include_zeros(self):
-        csr = CSRMatrix.from_dense([[2.0, 0.0, 0.0, 0.0]])
-        np.testing.assert_allclose(row_means(csr), [0.5])
-
-    def test_row_means_zero_cols(self):
-        np.testing.assert_allclose(row_means(CSRMatrix.empty((2, 0))),
-                                   np.zeros(2))
-
 
 class TestVstack:
     def test_matches_dense(self, rng):
@@ -94,23 +78,7 @@ class TestBatching:
         offsets = [off for off, _ in iter_row_batches(csr, 3)]
         assert offsets == [0, 3, 6, 9]
 
-    def test_n_row_batches(self):
-        assert n_row_batches(10, 3) == 4
-        assert n_row_batches(9, 3) == 3
-        assert n_row_batches(0, 3) == 0
-
     def test_invalid_batch_size(self, rng):
         with pytest.raises(ValueError):
             list(iter_row_batches(random_csr(rng, 3, 3), 0))
-        with pytest.raises(ValueError):
-            n_row_batches(5, -1)
 
-
-class TestSparseEqualDense:
-    def test_equal(self, rng):
-        dense = random_dense(rng, 4, 5)
-        assert sparse_equal_dense(CSRMatrix.from_dense(dense), dense)
-
-    def test_shape_mismatch(self, rng):
-        dense = random_dense(rng, 4, 5)
-        assert not sparse_equal_dense(CSRMatrix.from_dense(dense), dense.T)

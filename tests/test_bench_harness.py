@@ -10,7 +10,7 @@ from repro.bench.runner import (
     run_baseline_cell,
     run_knn_cell,
 )
-from repro.bench.tables import bold_min, format_seconds, render_kv, render_table
+from repro.bench.tables import bold_min, format_seconds, render_table
 
 
 class TestTables:
@@ -21,11 +21,6 @@ class TestTables:
         assert lines[0] == "T"
         assert "a" in lines[2] and "bbbb" in lines[2]
         assert len({len(line) for line in lines[3:]}) <= 2  # consistent widths
-
-    def test_render_kv(self):
-        out = render_kv({"alpha": 1, "b": 2})
-        assert "alpha : 1" in out
-        assert "b     : 2" in out
 
     @pytest.mark.parametrize("value,expect", [
         (0, "0"), (5e-7, "0.5us"), (0.0005, "500.0us"), (0.25, "250.00ms"),
