@@ -146,30 +146,6 @@ def test_signed_measures_are_actually_signed():
     assert kl.min() < 0
 
 
-def test_non_metric_measures_break_an_axiom():
-    """``symmetric=False`` and ``is_metric=False`` are load-bearing too:
-    each flagged measure breaks the axiom its flag gives up."""
-    assert not make_distance("kl_divergence").symmetric
-    kl = pairwise_distances(
-        CSRMatrix.from_dense(np.array([[0.2, 0.8], [0.6, 0.4]])),
-        metric="kl_divergence")
-    assert kl[0, 1] != pytest.approx(kl[1, 0])
-
-    # three points on a line: d(x0, x2) = 4 > d(x0, x1) + d(x1, x2) = 2
-    assert not make_distance("sqeuclidean").is_metric
-    sq = pairwise_distances(
-        CSRMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])),
-        metric="sqeuclidean")
-    assert sq[0, 2] > sq[0, 1] + sq[1, 2]
-
-    # parallel, distinct rows are at cosine distance 0
-    assert not make_distance("cosine").is_metric
-    cos = pairwise_distances(
-        CSRMatrix.from_dense(np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])),
-        metric="cosine")
-    assert cos[0, 1] == pytest.approx(0.0, abs=1e-12)
-
-
 def test_nonzero_self_distance_measures():
     """``zero_diagonal=False`` metadata is load-bearing too."""
     x = np.array([[1.0, 2.0, 0.0]])
