@@ -118,14 +118,19 @@ def _expand_dot(dot, na, nb, k):
 
 
 def _expand_cosine(dot, na, nb, k):
-    denom = _col(na["l2"]) * _row(nb["l2"])
-    sim = np.zeros_like(dot)  # undefined similarity (zero vector) -> 0
-    np.divide(dot, denom, out=sim, where=denom > _EPS)
-    out = 1.0 - sim
+    la = np.asarray(na["l2"], dtype=np.float64)
+    lb = np.asarray(nb["l2"], dtype=np.float64)
+    denom = np.multiply(la[:, None], lb[None, :])
+    # One output buffer: the similarity, 0 where it is undefined (a zero
+    # or NaN denominator), then the distance in place.
+    out = np.zeros_like(dot)
+    np.divide(dot, denom, out=out, where=denom > _EPS)
+    np.subtract(1.0, out, out=out)
     # d(x, x) = 0 must hold even for empty vectors: both-zero pairs get 0;
     # empty-vs-nonempty keeps the maximal distance 1.
-    both_zero = (_col(na["l2"]) <= _EPS) & (_row(nb["l2"]) <= _EPS)
-    out[both_zero] = 0.0
+    zero_a = np.flatnonzero(la <= _EPS)
+    if zero_a.size:
+        out[np.ix_(zero_a, np.flatnonzero(lb <= _EPS))] = 0.0
     np.clip(out, 0.0, 2.0, out=out)
     return out
 

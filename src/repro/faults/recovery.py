@@ -14,9 +14,9 @@ over an abort:
   backoff (the backoff is charged to the tile's simulated seconds, never to
   wall time);
 - **workspace OOM** splits the failing tile into sub-tiles along its longer
-  axis and re-executes them (recursively, up to ``max_split_depth``) — the
-  reassembled block is bit-identical because every cell is an independent
-  row-pair reduction;
+  axis and re-launches them (recursively, up to ``max_split_depth``) — the
+  executor computes the tile's distances once, unsplit, after its launches
+  settle, so they are bit-identical;
 - **capacity** overflows degrade the row-cache strategy down the ladder
   dense → hash (with §3.3.3 degree-partitioned blocking built in) → bloom /
   binary-search → host reference kernel. Kernels without a row cache jump

@@ -4,16 +4,16 @@ A kernel computes the semiring inner-product block
 
     C[i, j] = ⊕_{c ∈ cols(A_i) ∩/∪ cols(B_j)} ⊗(A[i, c], B[j, c])
 
-for all row pairs. Every engine evaluates that block with the same
-:func:`~repro.kernels.functional.semiring_block`; engines differ only in
-*schedule* — the launches, and the work each one counts, the simulated
-device would run. An engine is therefore a pure function
-:meth:`PairwiseKernel.schedule` from an operand pair to a
-:class:`~repro.gpusim.executor.LaunchSchedule`, and the base class owns the
-one execution path (:meth:`PairwiseKernel.run`) and the one estimate
-(:meth:`PairwiseKernel.estimate_seconds`) built on it. The distance layer
-(:mod:`repro.core.pairwise`) wraps the block with transforms, norms,
-expansion and finalize.
+for all row pairs. Every engine's block is the same
+:func:`~repro.kernels.functional.semiring_block`, which the plan executor
+evaluates once per tile; engines differ only in *schedule* — the
+launches, and the work each one counts, the simulated device would run.
+An engine is therefore a pure function :meth:`PairwiseKernel.schedule`
+from an operand pair to a :class:`~repro.gpusim.executor.LaunchSchedule`,
+and the base class owns the one launch path (:meth:`PairwiseKernel.run`)
+and the one estimate (:meth:`PairwiseKernel.estimate_seconds`) built on
+it. The distance layer (:mod:`repro.core.pairwise`) wraps the block with
+transforms, norms, expansion and finalize.
 """
 
 from __future__ import annotations
@@ -21,14 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-import numpy as np
-
 from repro.core.semiring import Semiring
 from repro.faults.injector import kernel_checkpoint
 from repro.gpusim.executor import LaunchSchedule
 from repro.gpusim.specs import DeviceSpec, VOLTA_V100
 from repro.gpusim.stats import KernelStats
-from repro.kernels.functional import semiring_block
 from repro.obs.tracer import current_metrics
 from repro.sparse.csr import CSRMatrix, check_same_n_cols
 
@@ -37,9 +34,8 @@ __all__ = ["KernelResult", "PairwiseKernel", "product_cost_profile"]
 
 @dataclass
 class KernelResult:
-    """Numeric output plus the simulated execution record."""
+    """The simulated execution record of one launched schedule."""
 
-    block: np.ndarray
     stats: KernelStats
     seconds: float
     #: the schedule that was launched (None for engines that override run)
@@ -84,7 +80,8 @@ class PairwiseKernel:
         return LaunchSchedule()
 
     def run(self, a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> KernelResult:
-        """Launch the schedule and compute the block.
+        """Launch the schedule; the block itself is the executor's
+        :func:`~repro.kernels.functional.semiring_block`.
 
         The fault-injection checkpoint fires first: it is the simulated
         moment the kernel claims its device workspace and shared-memory
@@ -100,8 +97,7 @@ class PairwiseKernel:
         schedule = self.schedule(a, b, semiring)
         stats, seconds = schedule.execute(self.spec)
         self.last_schedule = schedule
-        return KernelResult(block=semiring_block(a, b, semiring),
-                            stats=stats, seconds=seconds, schedule=schedule)
+        return KernelResult(stats=stats, seconds=seconds, schedule=schedule)
 
     def estimate_seconds(self, a: CSRMatrix, b: CSRMatrix,
                          semiring: Semiring) -> float:

@@ -21,7 +21,6 @@ against the naive alternatives.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -91,10 +90,7 @@ _STREAM_COSTS_LOCK = threading.Lock()
 def _stream_key(streamed: CSRMatrix, spec: DeviceSpec) -> tuple:
     """A digest of the operand's sparsity structure, plus the device
     parameters its stream costs depend on."""
-    digest = hashlib.blake2b(repr(streamed.shape).encode(), digest_size=16)
-    digest.update(streamed.indptr)
-    digest.update(streamed.indices)
-    return digest.digest(), spec.warp_size, spec.smem_banks
+    return streamed.structure_digest(), spec.warp_size, spec.smem_banks
 
 
 def _stream_cost(kind: str, key: tuple, streamed: CSRMatrix,

@@ -19,6 +19,11 @@ idempotent ⊕ (max), two overlapping full sweeps — each staging one side's
 row dense, exactly like the kernel's shared-memory pass — give the union
 without exclusion bookkeeping, because re-reducing the intersection is
 harmless under idempotence.
+
+:func:`semiring_block` can also hand its output to a sink in **row
+bands** of at most :data:`_BAND_CELLS` cells, so a consumer that reduces
+each band (top-k selection) never holds the whole block. Bands are a host
+evaluation order only: every cell is summed exactly as in the whole block.
 """
 
 from __future__ import annotations
@@ -50,11 +55,19 @@ _CHUNK_ELEMENTS = 1 << 22
 #: boundaries inside a chunk, so they never change the summation order.
 _BLOCK_ELEMENTS = 1 << 16
 
+#: Output cells per row band handed to a :func:`semiring_block` sink (a
+#: band holds one row at least). A band starts at a row boundary, so it
+#: too never changes the summation order.
+_BAND_CELLS = 1 << 17
+
+#: Rows of the staged side densified at once by the idempotent union sweeps.
+_ROW_BATCH = 64
+
 _IDEMPOTENT_UFUNCS = {"max": np.maximum, "min": np.minimum}
 
 
-def _row_blocks(indptr: np.ndarray,
-                cum: np.ndarray) -> Iterator[Tuple[int, int]]:
+def _row_blocks(indptr: np.ndarray, cum: np.ndarray,
+                stops: np.ndarray) -> Iterator[Tuple[int, int]]:
     """``[lo, hi)`` ranges of a's nonzeros, one per row block.
 
     ``cum[p]`` counts the co-occurrences of a's first ``p`` nonzeros. A
@@ -62,7 +75,10 @@ def _row_blocks(indptr: np.ndarray,
     :data:`_CHUNK_ELEMENTS` more than its start (one nonzero at least).
     Inside a chunk, a block ends at the furthest row boundary within
     :data:`_BLOCK_ELEMENTS` of its start, or at the end of its first row if
-    that row alone holds more.
+    that row alone holds more. A block also ends at each of ``stops``
+    (sorted row boundaries, as nonzero offsets); chunks do not, so a row
+    that a chunk boundary splits is split the same way with or without
+    them.
     """
     nnz = cum.size - 1
     lo = chunk_end = 0
@@ -80,12 +96,15 @@ def _row_blocks(indptr: np.ndarray,
                 hi = min(int(indptr[np.searchsorted(indptr, lo,
                                                     side="right")]),
                          chunk_end)
+        nxt = int(np.searchsorted(stops, lo, side="right"))
+        if nxt < stops.size:
+            hi = min(hi, int(stops[nxt]))
         yield lo, hi
         lo = hi
 
 
 def gather_intersections(
-    a: CSRMatrix, b: CSRMatrix,
+    a: CSRMatrix, b: CSRMatrix, band_rows: Optional[int] = None,
 ) -> Iterator[Tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
     """Stream all nonzero-column co-occurrences between rows of a and b.
 
@@ -94,8 +113,9 @@ def gather_intersections(
     with ``cells = (i - r0) * b.n_rows + j`` indexing the flattened output
     rows ``out[r0:r1]``. A cell's entries arrive in a's column order, and
     only a chunk boundary (:data:`_CHUNK_ELEMENTS`) splits a row between
-    blocks. This is the host analogue of the kernel's shared-memory lookup
-    hit stream.
+    blocks. With ``band_rows``, no block spans two of the row bands
+    ``[0, band_rows)``, ``[band_rows, 2 * band_rows)``, …. This is the host
+    analogue of the kernel's shared-memory lookup hit stream.
     """
     if a.nnz == 0:
         return
@@ -104,7 +124,8 @@ def gather_intersections(
     cum = np.zeros(a.nnz + 1, dtype=np.int64)
     np.cumsum(hit_lens, out=cum[1:])
     a_rows = np.repeat(np.arange(a.n_rows, dtype=np.int64), a.row_degrees())
-    for lo, hi in _row_blocks(a.indptr, cum):
+    stops = a.indptr[band_rows:-1:band_rows] if band_rows else a.indptr[:0]
+    for lo, hi in _row_blocks(a.indptr, cum, stops):
         total = int(cum[hi] - cum[lo])
         if total == 0:
             continue
@@ -121,29 +142,47 @@ def gather_intersections(
                np.repeat(a.data[lo:hi], lens), bt.data[gather])
 
 
-def intersection_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
-                       product_op: Optional[Callable] = None) -> np.ndarray:
-    """⊕-reduce ⊗ over intersecting nonzero columns for every row pair.
+#: A row band ``(r0, r1, rows)``: rows ``[r0, r1)`` of an output block.
+Band = Tuple[int, int, np.ndarray]
 
-    Each row block reduces into its own output rows only: ⊕ = + adds the
-    block's ``bincount`` to them, max/min fold in element order.
+
+def _intersection_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
+                        op: Callable, band_rows: int) -> Iterator[Band]:
+    """The intersection block, ``band_rows`` rows at a time.
+
+    Each row block reduces into its own band's rows only: ⊕ = + adds the
+    block's ``bincount`` to them, max/min fold in element order. A
+    zero-row ``a`` gives one empty band.
     """
-    op = product_op if product_op is not None else semiring.product
     reduce_name = semiring.reduce.name
     if reduce_name != "plus" and reduce_name not in _IDEMPOTENT_UFUNCS:
         raise SemiringError(
             f"unsupported reduce monoid {reduce_name!r} for block computation")
-    out = np.full((a.n_rows, b.n_rows), semiring.reduce.identity,
-                  dtype=np.float64)
-    for r0, r1, cells, a_vals, b_vals in gather_intersections(a, b):
-        prods = np.asarray(op(a_vals, b_vals), dtype=np.float64)
-        rows = out[r0:r1]
-        if reduce_name == "plus":
-            rows += np.bincount(cells, weights=prods,
-                                minlength=rows.size).reshape(rows.shape)
-        else:
-            _IDEMPOTENT_UFUNCS[reduce_name].at(rows.reshape(-1), cells, prods)
-    return out
+    blocks = gather_intersections(a, b, band_rows)
+    block = next(blocks, None)
+    for r0 in range(0, max(a.n_rows, 1), band_rows):
+        r1 = min(r0 + band_rows, a.n_rows)
+        band = np.full((r1 - r0, b.n_rows), semiring.reduce.identity,
+                       dtype=np.float64)
+        while block is not None and block[0] < r1:
+            s0, s1, cells, a_vals, b_vals = block
+            prods = np.asarray(op(a_vals, b_vals), dtype=np.float64)
+            rows = band[s0 - r0:s1 - r0]
+            if reduce_name == "plus":
+                rows += np.bincount(cells, weights=prods,
+                                    minlength=rows.size).reshape(rows.shape)
+            else:
+                _IDEMPOTENT_UFUNCS[reduce_name].at(rows.reshape(-1), cells,
+                                                   prods)
+            block = next(blocks, None)
+        yield r0, r1, band
+
+
+def intersection_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
+                       product_op: Optional[Callable] = None) -> np.ndarray:
+    """⊕-reduce ⊗ over intersecting nonzero columns for every row pair."""
+    op = product_op if product_op is not None else semiring.product
+    return next(_intersection_bands(a, b, semiring, op, max(a.n_rows, 1)))[2]
 
 
 def co_occurrence_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
@@ -159,7 +198,10 @@ def co_occurrence_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
     return out
 
 
-def _union_block_sum(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> np.ndarray:
+def _union_sum_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
+                     band_rows: int) -> Iterator[Band]:
+    """The ⊕ = + union block by Eq. 3, ``band_rows`` rows at a time: the
+    corrected intersection plus both side sums, computed once per call."""
     op = semiring.product
 
     def corrected(x, y):
@@ -167,12 +209,13 @@ def _union_block_sum(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> np.ndarr
                 - np.asarray(op(x, np.zeros_like(x)), dtype=np.float64)
                 - np.asarray(op(np.zeros_like(y), y), dtype=np.float64))
 
-    inter = intersection_block(a, b, semiring, product_op=corrected)
     ra = _row_side_sums(a, lambda v: op(v, np.zeros_like(v)))
     rb = _row_side_sums(b, lambda v: op(np.zeros_like(v), v))
-    inter += ra[:, None]
-    inter += rb[None, :]
-    return inter
+    for r0, r1, band in _intersection_bands(a, b, semiring, corrected,
+                                            band_rows):
+        band += ra[r0:r1, None]
+        band += rb[None, :]
+        yield r0, r1, band
 
 
 def _row_side_sums(x: CSRMatrix, side_op: Callable) -> np.ndarray:
@@ -186,8 +229,8 @@ def _row_side_sums(x: CSRMatrix, side_op: Callable) -> np.ndarray:
     return out
 
 
-def _union_block_idempotent(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
-                            row_batch: int = 64) -> np.ndarray:
+def _union_block_idempotent(a: CSRMatrix, b: CSRMatrix,
+                            semiring: Semiring) -> np.ndarray:
     """Union reduce for idempotent ⊕ (max/min) via two dense-staged sweeps.
 
     Sweep 1 stages rows of ``a`` dense and streams ``b``'s nonzeros
@@ -199,13 +242,13 @@ def _union_block_idempotent(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
     ufunc = _IDEMPOTENT_UFUNCS[semiring.reduce.name]
     out = np.full((a.n_rows, b.n_rows), semiring.reduce.identity,
                   dtype=np.float64)
-    _sweep_dense_rows(out, a, b, op, ufunc, row_batch, staged_is_b=False)
-    _sweep_dense_rows(out, b, a, op, ufunc, row_batch, staged_is_b=True)
+    _sweep_dense_rows(out, a, b, op, ufunc, staged_is_b=False)
+    _sweep_dense_rows(out, b, a, op, ufunc, staged_is_b=True)
     return out
 
 
 def _sweep_dense_rows(out, staged: CSRMatrix, streamed: CSRMatrix, op, ufunc,
-                      row_batch: int, *, staged_is_b: bool) -> None:
+                      *, staged_is_b: bool) -> None:
     """One full SPMV sweep: stage ``staged`` rows dense (the kernel's
     shared-memory vector), stream the other side's nonzeros, segment-reduce
     per streamed row, and ⊕-fold into ``out``."""
@@ -213,8 +256,8 @@ def _sweep_dense_rows(out, staged: CSRMatrix, streamed: CSRMatrix, op, ufunc,
     if nonempty.size == 0 or staged.n_rows == 0:
         return
     seg_starts = streamed.indptr[nonempty]
-    for start in range(0, staged.n_rows, row_batch):
-        stop = min(start + row_batch, staged.n_rows)
+    for start in range(0, staged.n_rows, _ROW_BATCH):
+        stop = min(start + _ROW_BATCH, staged.n_rows)
         dense = staged.slice_rows(start, stop).to_dense()  # (r, k)
         gathered = dense[:, streamed.indices]  # (r, nnz_streamed)
         if staged_is_b:
@@ -239,15 +282,36 @@ def union_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> np.ndarray:
     """⊕-reduce ⊗ over the full union of nonzero columns (NAMM)."""
     name = semiring.reduce.name
     if name == "plus":
-        return _union_block_sum(a, b, semiring)
-    if name in ("max", "min"):
+        return next(_union_sum_bands(a, b, semiring, max(a.n_rows, 1)))[2]
+    if name in _IDEMPOTENT_UFUNCS:
         return _union_block_idempotent(a, b, semiring)
     raise SemiringError(
         f"unsupported reduce monoid {name!r} for union computation")
 
 
-def semiring_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> np.ndarray:
-    """Dispatch to intersection or union per the semiring's annihilation."""
+def semiring_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
+                   sink: Optional[Callable[[int, int, np.ndarray], None]] = None,
+                   ) -> Optional[np.ndarray]:
+    """Dispatch to intersection or union per the semiring's annihilation.
+
+    Without ``sink``, returns the ``(a.n_rows, b.n_rows)`` block. With one,
+    calls ``sink(r0, r1, rows)`` for consecutive row bands of at most
+    :data:`_BAND_CELLS` cells (one row at least), in row order, and
+    returns None. ``rows`` equals ``block[r0:r1]`` bit for bit and belongs
+    to the sink. The ⊕ = max/min union, whose two sweeps each cover every
+    row, hands over its block as one band.
+    """
+    band_rows = (max(a.n_rows, 1) if sink is None
+                 else max(1, _BAND_CELLS // max(b.n_rows, 1)))
     if semiring.is_annihilating:
-        return intersection_block(a, b, semiring)
-    return union_block(a, b, semiring)
+        bands = _intersection_bands(a, b, semiring, semiring.product,
+                                    band_rows)
+    elif semiring.reduce.name == "plus":
+        bands = _union_sum_bands(a, b, semiring, band_rows)
+    else:
+        bands = iter([(0, a.n_rows, union_block(a, b, semiring))])
+    if sink is None:
+        return next(bands)[2]
+    for r0, r1, rows in bands:
+        sink(r0, r1, rows)
+    return None

@@ -154,6 +154,13 @@ class TopKAccumulator:
             return
         self._merge(values, indices)
 
+    @property
+    def candidates(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The ``(values, ids)`` held now, at most ``k`` per row and in no
+        particular order: what another accumulator's :meth:`update_pairs`
+        merges."""
+        return self._values, self._indices
+
     def _merge(self, val: np.ndarray, idx: np.ndarray) -> None:
         self._values = np.concatenate([self._values, val], axis=1)
         self._indices = np.concatenate([self._indices, idx], axis=1)

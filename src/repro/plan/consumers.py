@@ -1,15 +1,17 @@
 """Pluggable sinks for finished tiles.
 
-The executor hands every finished tile — its grid coordinates plus the
-fully-expanded distance block — to one :class:`TileConsumer`, **in tile
-order** regardless of which worker finished first. Three consumers cover
-the pipeline's workloads:
+The executor evaluates every tile's distances once, in row bands, into a
+per-tile sink the consumer provides (:meth:`TileConsumer.tile_sink`); the
+sink's payload reaches :meth:`TileConsumer.consume` **in tile order**
+regardless of which worker finished first. Three consumers cover the
+pipeline's workloads:
 
 - :class:`DenseBlockConsumer` materializes the full distance matrix
   (the classic ``pairwise_distances`` contract);
-- :class:`TopKConsumer` folds each tile into a streaming per-query top-k,
-  never holding more than one tile plus the k-best state (the paper's §4.2
-  "scale past device memory" path);
+- :class:`TopKConsumer` selects each band's k best as it arrives and folds
+  each tile's picks into a streaming per-query top-k, never holding more
+  than one band plus the k-best state (the paper's §4.2 "scale past device
+  memory" path);
 - :class:`CallbackConsumer` forwards tiles to user code for out-of-core
   workloads (spill to disk, ship to another device, online aggregation).
 """
@@ -24,12 +26,33 @@ import numpy as np
 from repro.plan.pairwise_plan import PairwisePlan
 from repro.plan.tiling import Tile
 
-__all__ = ["TileConsumer", "DenseBlockConsumer", "TopKConsumer",
+__all__ = ["TileConsumer", "TileSink", "DenseBlockConsumer", "TopKConsumer",
            "CallbackConsumer"]
 
 
+class TileSink:
+    """Collects one tile's row bands into its delivery payload.
+
+    The executor calls the sink with each band ``(r0, r1, rows)`` — tile
+    rows ``[r0, r1)``, every column, expansion/finalize applied — in row
+    order on the tile's worker, then hands :meth:`payload` to
+    :meth:`TileConsumer.consume`. A sink holds this tile's state only, so
+    a tile that is computed but never delivered folds nothing. This one
+    fills the dense ``(tile.rows_a, tile.rows_b)`` block.
+    """
+
+    def __init__(self, tile: Tile):
+        self._block = np.empty((tile.rows_a, tile.rows_b), dtype=np.float64)
+
+    def __call__(self, r0: int, r1: int, rows: np.ndarray) -> None:
+        self._block[r0:r1] = rows
+
+    def payload(self):
+        return self._block
+
+
 class TileConsumer(abc.ABC):
-    """Receives each finished tile's distance block, in tile order.
+    """Receives each finished tile's payload, in tile order.
 
     Consumers double as **checkpoints**: the executor stamps
     ``delivered_watermark`` after every in-order delivery, so when an
@@ -47,9 +70,16 @@ class TileConsumer(abc.ABC):
     def begin(self, plan: PairwisePlan) -> None:
         """Called once before the first tile; allocate state here."""
 
+    def tile_sink(self, tile: Tile) -> TileSink:
+        """A fresh sink for one tile's bands; called on the tile's worker,
+        so it may read the consumer's configuration but not its folded
+        state. The default payload is the dense distance block."""
+        return TileSink(tile)
+
     @abc.abstractmethod
-    def consume(self, tile: Tile, distances: np.ndarray) -> None:
-        """Fold one finished tile. ``distances`` is the dense
+    def consume(self, tile: Tile, distances) -> None:
+        """Fold one finished tile's payload. With the default
+        :meth:`tile_sink`, ``distances`` is the dense
         ``(tile.rows_a, tile.rows_b)`` block, expansion/finalize applied."""
 
     def abort(self, error: Exception) -> None:
@@ -82,13 +112,35 @@ class DenseBlockConsumer(TileConsumer):
         return self._out
 
 
+class _TopKSink(TileSink):
+    """Selects each band's k best; the payload is the tile's
+    ``(values, global ids)`` picks."""
+
+    def __init__(self, tile: Tile, k: int):
+        kk = min(k, tile.rows_b)
+        self._k, self._b0 = k, tile.b0
+        self._values = np.empty((tile.rows_a, kk), dtype=np.float64)
+        self._indices = np.empty((tile.rows_a, kk), dtype=np.int64)
+
+    def __call__(self, r0: int, r1: int, rows: np.ndarray) -> None:
+        from repro.neighbors.topk import TopKAccumulator
+
+        band = TopKAccumulator(r1 - r0, self._k)
+        band.update(rows, self._b0)
+        self._values[r0:r1], self._indices[r0:r1] = band.candidates
+
+    def payload(self) -> Tuple[np.ndarray, np.ndarray]:
+        return self._values, self._indices
+
+
 class TopKConsumer(TileConsumer):
     """Streaming k-NN fold: keep each query row's k nearest across tiles.
 
-    One :class:`TopKAccumulator` per A band; tiles arrive in tile order, so
-    each accumulator sees its B batches left-to-right exactly like the old
-    hand-rolled loop — results are bit-identical to materializing the full
-    block and selecting afterwards.
+    Each tile's sink selects its bands' k best on the worker; at delivery
+    the tile's picks merge into one :class:`TopKAccumulator` per A band.
+    Selection is row-independent and every merge orders by ``(value,
+    id)``, so results are bit-identical to materializing the full block
+    and selecting afterwards.
     """
 
     def __init__(self, k: int):
@@ -111,8 +163,12 @@ class TopKConsumer(TileConsumer):
         ]
         self._n_rows = plan.a.n_rows
 
-    def consume(self, tile: Tile, distances: np.ndarray) -> None:
-        self._accs[tile.band_a].update(distances, tile.b0)
+    def tile_sink(self, tile: Tile) -> TileSink:
+        return _TopKSink(tile, self.k)
+
+    def consume(self, tile: Tile,
+                distances: Tuple[np.ndarray, np.ndarray]) -> None:
+        self._accs[tile.band_a].update_pairs(*distances)
 
     def result(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(distances, indices)`` stacked over all A bands."""

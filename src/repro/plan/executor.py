@@ -1,9 +1,10 @@
 """Tile scheduler: run a :class:`PairwisePlan` serially or on N workers.
 
-Each tile is an independent job — slice the operand bands, run the
-configured kernel (launch its schedule, compute its block), apply the
-measure's expansion (with the plan's cached norms) or finalize — so tiles
-parallelize freely. ``n_workers > 1`` runs them through :func:`fan_out`,
+Each tile is an independent job — launch the configured kernel's
+schedule on the tile's operand bands, then evaluate the tile's distances
+once, in row bands that pass through the measure's expansion (with the
+plan's cached norms) or finalize into the consumer's per-tile sink — so
+tiles parallelize freely. ``n_workers > 1`` runs them through :func:`fan_out`,
 the one ordered thread fan-out (the serving and distributed layers use it
 too), simulating concurrent streams / multi-GPU execution, while keeping
 every observable output deterministic:
@@ -29,11 +30,12 @@ of launched, folded by the same makespan.
 :class:`~repro.faults.RecoveryPolicy` (and, in tests/benches, a
 :class:`~repro.faults.FaultInjector`): transient launch failures retry with
 simulated backoff, workspace OOMs adaptively split the failing tile into
-sub-tiles whose blocks are reassembled before delivery (so consumers still
-see exactly the planned tiles, in order), and capacity faults walk the §3.3
-strategy degradation ladder down to the host reference kernel. Every
-recovery preserves bit-identical distances because each output cell is an
-independent row-pair reduction. What recovery cannot absorb aborts the
+sub-tiles whose launches are accounted in its place, and capacity faults
+walk the §3.3 strategy degradation ladder down to the host reference
+kernel. Recovery acts on launches only: a tile's distances are computed
+once, from the planned tile's operands, after its schedule has settled,
+so every recovery leaves them bit-identical (consumers still see exactly
+the planned tiles, in order). What recovery cannot absorb aborts the
 execution: tiles not yet started are cancelled, the consumer's
 :meth:`~repro.plan.consumers.TileConsumer.abort` hook fires (partial state
 is never mistaken for a result), and a structured
@@ -52,8 +54,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.distances import EXPANDED
 from repro.errors import (
     DeviceOOMError,
@@ -69,6 +69,7 @@ from repro.gpusim.executor import Launch, LaunchSchedule
 from repro.gpusim.memory import coalesced_transactions
 from repro.gpusim.stats import KernelStats
 from repro.gpusim.tiles import TileAccountant, TileLaunchRecord
+from repro.kernels.functional import semiring_block
 from repro.kernels.host import HostKernel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import round_robin_lanes
@@ -166,10 +167,9 @@ class _Rect:
 
 @dataclass
 class _RectResult:
-    """One recovered rect: its distance block plus recovery accounting
-    (for a planned tile, also the tile and its span)."""
+    """One recovered rect's launch and recovery accounting (for a planned
+    tile, also the tile, its span and its sink's payload)."""
 
-    block: np.ndarray
     stats: KernelStats
     seconds: float
     events: List[FaultEvent] = field(default_factory=list)
@@ -181,6 +181,8 @@ class _RectResult:
     tile: Optional[Tile] = None
     #: the tile's span (the shared no-op span when untraced)
     span: object = NULL_SPAN
+    #: what the consumer's tile sink made of the tile's distances
+    payload: object = None
 
 
 class _TileFailure(Exception):
@@ -295,7 +297,8 @@ class PlanExecutor:
             n_tiles=len(tiles), n_workers=self.n_workers,
             resume_from=resume_from,
             shape=f"{plan.a.n_rows}x{plan.b.n_rows}x{plan.a.n_cols}")
-        run_tile = functools.partial(self._run_tile, root, resume_from)
+        run_tile = functools.partial(self._run_tile, root, resume_from,
+                                     consumer)
         with obs, root:
             try:
                 for outcome in fan_out(run_tile, tiles, self.n_workers):
@@ -317,7 +320,7 @@ class PlanExecutor:
                     if outcome.degraded:
                         degraded_tiles.append(tile.index)
                     obs.record(outcome)
-                    consumer.consume(tile, outcome.block)
+                    consumer.consume(tile, outcome.payload)
                     consumer.delivered_watermark = tile.index + 1
             except _TileFailure as failure:
                 self._abort(consumer, failure, fault_log, root)
@@ -386,14 +389,18 @@ class PlanExecutor:
         raise failure.cause
 
     # ------------------------------------------------------------------
-    def _run_tile(self, root, lane_base: int, tile: Tile) -> _RectResult:
-        """Run one planned tile inside its ``tile[i,j]`` span.
+    def _run_tile(self, root, lane_base: int, consumer: TileConsumer,
+                  tile: Tile) -> _RectResult:
+        """Run one planned tile inside its ``tile[i,j]`` span: settle its
+        launches under the recovery policy, then evaluate its distances
+        into ``consumer``'s sink for it.
 
         The span attaches to the main thread's ``plan.execute`` root
         explicitly (worker threads have no open span of their own) and then
         sits on *this* thread's span stack, so kernel/launch spans opened
-        deeper in the call nest under it. The span rides on the outcome (or
-        the failure): the tile's facts are recorded at delivery, in tile
+        deeper in the call nest under it. The span and the sink's payload
+        ride on the outcome (the span also on the failure): the tile's
+        facts are recorded, and its payload consumed, at delivery, in tile
         order, whatever order the workers finished in.
         """
         lane = (tile.index - lane_base) % self.n_workers
@@ -408,8 +415,30 @@ class PlanExecutor:
             except _TileFailure as failure:
                 failure.span = span
                 raise
+            res.payload = self._distances(tile, consumer.tile_sink(tile))
         res.tile, res.span = tile, span
         return res
+
+    def _distances(self, tile: Tile, sink) -> object:
+        """Evaluate a planned tile's distances once, band by band, through
+        the expansion or finalize step into ``sink``; its payload."""
+        plan = self.plan
+        measure = plan.measure
+        k = plan.a.n_cols
+        if measure.kind == EXPANDED:
+            norms_b = plan.norms_slice_b(tile.b0, tile.b1)
+
+            def band(r0, r1, rows):
+                sink(r0, r1, measure.apply_expansion(
+                    rows, plan.norms_slice_a(tile.a0 + r0, tile.a0 + r1),
+                    norms_b, k))
+        else:
+            def band(r0, r1, rows):
+                sink(r0, r1, measure.apply_finalize(rows, k))
+
+        semiring_block(plan.a_band(tile.band_a), plan.b_band(tile.band_b),
+                       measure.semiring, sink=band)
+        return sink.payload()
 
     def _operand_slices(self, tile: Tile, rect: _Rect):
         """CSR slices for a rect; planned tiles reuse the cached bands."""
@@ -420,12 +449,13 @@ class PlanExecutor:
                 plan.b.slice_rows(rect.b0, rect.b1))
 
     def _run_rect(self, tile: Tile, rect: _Rect) -> _RectResult:
-        """Execute one rect under the recovery policy.
+        """Launch one rect's schedule under the recovery policy.
 
         The attempt loop retries transient faults (with simulated backoff),
         steps down the degradation ladder on capacity faults, and recurses
         into two half-rects on workspace OOM; anything left over raises
-        :class:`_TileFailure` with the recovery events gathered so far.
+        :class:`_TileFailure` with the recovery events gathered so far. The
+        rect's epilogue launch is priced here too; its numerics are not.
         """
         plan = self.plan
         policy = self.recovery
@@ -492,13 +522,6 @@ class PlanExecutor:
         simulate = plan.simulate and not isinstance(kernel, HostKernel)
         n_cells = rect.rows_a * rect.rows_b
         measure = plan.measure
-
-        if measure.kind == EXPANDED:
-            distances = measure.apply_expansion(
-                result.block, plan.norms_slice_a(rect.a0, rect.a1),
-                plan.norms_slice_b(rect.b0, rect.b1), plan.a.n_cols)
-        else:
-            distances = measure.apply_finalize(result.block, plan.a.n_cols)
         if simulate and _has_epilogue(measure):
             launch = _epilogue_launch(n_cells).execute(plan.spec)
             stats.merge(launch.stats)
@@ -516,7 +539,7 @@ class PlanExecutor:
                 kind=FaultKind.SLOW, action="slowed",
                 seconds=site.slow_seconds))
 
-        return _RectResult(block=distances, stats=stats, seconds=seconds,
+        return _RectResult(stats=stats, seconds=seconds,
                            events=events, n_retries=retries,
                            backoff_seconds=backoff, degraded=degraded,
                            schedule=result.schedule)
@@ -524,13 +547,12 @@ class PlanExecutor:
     def _split_rect(self, tile: Tile, rect: _Rect,
                     events: List[FaultEvent], retries: int, backoff: float,
                     degraded: bool) -> _RectResult:
-        """Halve an OOMing rect along its longer axis and reassemble.
+        """Halve an OOMing rect along its longer axis and merge the halves'
+        accounting.
 
         The two half-rects re-enter :meth:`_run_rect` (so they carry their
-        own retries/degradation/splits, recursively) and their blocks are
-        stitched back into the rect's full block — the consumer always sees
-        exactly the planned tile, in order, and every cell's value is
-        unchanged because cells are independent row-pair reductions.
+        own retries/degradation/splits, recursively). Only launches are
+        split: the tile's distances are evaluated whole afterwards.
         """
         if rect.rows_a >= rect.rows_b:
             mid = rect.a0 + rect.rows_a // 2
@@ -542,18 +564,14 @@ class PlanExecutor:
                         _Rect(rect.a0, rect.a1, mid, rect.b1, rect.depth + 1)]
 
         parts = [self._run_rect(tile, child) for child in children]
-        block = np.empty((rect.rows_a, rect.rows_b),
-                         dtype=parts[0].block.dtype)
         stats = KernelStats()
         seconds = 0.0
-        for child, part in zip(children, parts):
-            block[child.a0 - rect.a0:child.a1 - rect.a0,
-                  child.b0 - rect.b0:child.b1 - rect.b0] = part.block
+        for part in parts:
             stats.merge(part.stats)
             seconds += part.seconds
             events.extend(part.events)
         return _RectResult(
-            block=block, stats=stats, seconds=seconds, events=events,
+            stats=stats, seconds=seconds, events=events,
             n_retries=retries + sum(p.n_retries for p in parts),
             n_splits=1 + sum(p.n_splits for p in parts),
             backoff_seconds=backoff + sum(p.backoff_seconds for p in parts),

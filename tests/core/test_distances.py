@@ -193,3 +193,53 @@ class TestEdgeCases:
         d2 = pairwise_distances((x != 0) * 7.0, (y != 0) * 3.0,
                                 metric="dice", engine="host")
         np.testing.assert_allclose(d1, d2, atol=1e-12)
+
+
+def _expand_cosine_five_temporaries(dot, na, nb, k):
+    """The cosine epilogue as first written, with five m x n temporaries;
+    the oracle for the one-buffer version."""
+    eps = 1e-300
+    col = np.asarray(na["l2"], dtype=np.float64)[:, None]
+    row = np.asarray(nb["l2"], dtype=np.float64)[None, :]
+    denom = col * row
+    sim = np.zeros_like(dot)
+    np.divide(dot, denom, out=sim, where=denom > eps)
+    out = 1.0 - sim
+    out[(col <= eps) & (row <= eps)] = 0.0
+    np.clip(out, 0.0, 2.0, out=out)
+    return out
+
+
+class TestCosineEpilogue:
+    """The one-buffer cosine expansion equals the five-temporary one bit
+    for bit, NaN in the same cells, on degenerate norms and dots."""
+
+    SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-301,
+                         5e-324, 1e300])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bitwise_equal_to_five_temporaries(self, seed):
+        rng = np.random.default_rng([7, seed])
+        m, n = (int(v) for v in rng.integers(0, 9, 2))
+        norms = []
+        for size in (m, n):
+            v = rng.random(size) * 3.0
+            special = rng.random(size) < 0.4
+            v[special] = rng.choice(self.SPECIALS, int(special.sum()))
+            norms.append({"l2": v})
+        dot = rng.normal(size=(m, n)) * 2.0
+        special = rng.random((m, n)) < 0.2
+        dot[special] = rng.choice(self.SPECIALS, int(special.sum()))
+        want = _expand_cosine_five_temporaries(dot.copy(), *norms, 5)
+        got = make_distance("cosine").apply_expansion(dot.copy(), *norms, 5)
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(got[~nan].view(np.int64),
+                                      want[~nan].view(np.int64))
+
+    def test_nan_norm_gives_distance_one(self):
+        d = make_distance("cosine").apply_expansion(
+            np.array([[0.5, 0.5]]), {"l2": np.array([np.nan])},
+            {"l2": np.array([1.0, 0.0])}, 2)
+        np.testing.assert_array_equal(d, [[1.0, 1.0]])

@@ -1,12 +1,19 @@
 """Tests for the load-balanced hybrid CSR+COO kernel (Algorithm 3)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.core.semiring import dot_product_semiring, namm_semiring
 from repro.errors import KernelLaunchError
 from repro.gpusim.specs import VOLTA_V100
-from repro.kernels.coo_spmv import LoadBalancedCooKernel, _total_intersections
+from repro.kernels.coo_spmv import (
+    LoadBalancedCooKernel,
+    _stream_key,
+    _total_intersections,
+)
+from repro.kernels.functional import semiring_block
 from repro.kernels.strategy import RowCacheStrategy
 from repro.sparse.csr import CSRMatrix
 from tests.conftest import random_csr
@@ -27,6 +34,23 @@ class TestTotalIntersections:
     def test_empty(self, rng):
         assert _total_intersections(CSRMatrix.empty((3, 5)),
                                     random_csr(rng, 2, 5)) == 0.0
+
+
+class TestStreamKey:
+    def test_key_is_the_structure_digest_computed_once(self, rng):
+        a = random_csr(rng, 6, 9)
+        digest = hashlib.blake2b(repr(a.shape).encode(), digest_size=16)
+        digest.update(a.indptr)
+        digest.update(a.indices)
+        assert _stream_key(a, VOLTA_V100) == (
+            digest.digest(), VOLTA_V100.warp_size, VOLTA_V100.smem_banks)
+        assert a.structure_digest() is a.structure_digest()
+
+    def test_digest_ignores_values_not_structure(self, rng):
+        a = random_csr(rng, 6, 9)
+        scaled = a.map_values(lambda v: 2.0 * v)
+        assert scaled.structure_digest() == a.structure_digest()
+        assert a.slice_rows(0, 5).structure_digest() != a.structure_digest()
 
 
 class TestStrategySelection:
@@ -56,10 +80,10 @@ class TestStrategySelection:
     def test_forced_bloom(self, rng):
         k = LoadBalancedCooKernel(VOLTA_V100, row_cache="bloom")
         a = random_csr(rng, 8, 32)
-        out = k.run(a, a, dot_product_semiring())
+        k.run(a, a, dot_product_semiring())
         assert all(p.strategy is RowCacheStrategy.BLOOM
                    for p in k.last_profiles)
-        np.testing.assert_allclose(out.block,
+        np.testing.assert_allclose(semiring_block(a, a, dot_product_semiring()),
                                    a.to_dense() @ a.to_dense().T, atol=1e-9)
 
     def test_dense_too_wide_raises(self):
@@ -93,9 +117,10 @@ class TestPassStructure:
         k = LoadBalancedCooKernel(VOLTA_V100)
         a = random_csr(rng, 12, 25)
         b = random_csr(rng, 10, 25)
-        res = k.run(a, b, _manhattan())
+        k.run(a, b, _manhattan())
         want = np.abs(a.to_dense()[:, None] - b.to_dense()[None]).sum(-1)
-        np.testing.assert_allclose(res.block, want, atol=1e-9)
+        np.testing.assert_allclose(semiring_block(a, b, _manhattan()), want,
+                                   atol=1e-9)
 
     def test_workspace_is_nnz_of_streamed(self, rng):
         # §4.3: "our dot product semiring required a workspace buffer of
@@ -118,9 +143,9 @@ class TestHighDegreePartitioning:
         a = CSRMatrix(np.array([0, 1500]), cols, np.ones(1500), (1, 2000))
         b = CSRMatrix(np.array([0, 2]), np.array([3, 7]), np.ones(2),
                       (1, 2000))
-        res = k.run(a, b, dot_product_semiring())
+        k.run(a, b, dot_product_semiring())
         assert k.last_profiles[0].n_blocks == 3
-        np.testing.assert_allclose(res.block,
+        np.testing.assert_allclose(semiring_block(a, b, dot_product_semiring()),
                                    a.to_dense() @ b.to_dense().T)
 
 

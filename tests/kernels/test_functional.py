@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.distances import available_distances, make_distance
 from repro.core.monoid import MAX
 from repro.core.semiring import (
     dot_product_semiring,
@@ -306,3 +307,74 @@ class TestBlockedMatchesChunkedOracle:
                           for r0, r1, cells, _, _
                           in gather_intersections(a, b))
         assert split > 0 and single > 0
+
+
+class TestBandsMatchWholeBlock:
+    """The row bands ``semiring_block`` hands a sink concatenate to the
+    whole block bit for bit, under band, block and chunk sizes small
+    enough that their boundaries interleave."""
+
+    SEEDS = TestBlockedMatchesChunkedOracle.SEEDS
+
+    @staticmethod
+    def _case(seed):
+        a, b, chunk, block = TestBlockedMatchesChunkedOracle._case(seed)
+        rng = np.random.default_rng([21, seed])
+        return a, b, chunk, block, int(rng.integers(1, 4 * b.n_rows + 1))
+
+    @staticmethod
+    def _bands(a, b, sr):
+        bands = []
+        semiring_block(a, b, sr, sink=lambda r0, r1, rows: bands.append(
+            (r0, r1, rows.copy())))
+        return bands
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("metric", available_distances())
+    def test_concatenated_bands_equal_block(self, metric, monkeypatch):
+        sr = make_distance(metric).semiring
+        one_band = not sr.is_annihilating and sr.reduce.name != "plus"
+        for seed in self.SEEDS:
+            a, b, chunk, block, band_cells = self._case(seed)
+            _force_sizes(monkeypatch, chunk, block)
+            monkeypatch.setattr(functional, "_BAND_CELLS", band_cells)
+            bands = self._bands(a, b, sr)
+            starts = [r0 for r0, _, _ in bands]
+            assert starts == [0] + [r1 for _, r1, _ in bands[:-1]]
+            assert bands[-1][1] == a.n_rows
+            band_rows = max(1, band_cells // b.n_rows)
+            for r0, r1, rows in bands:
+                assert rows.shape == (r1 - r0, b.n_rows)
+                assert one_band or r1 - r0 <= band_rows
+            _assert_same_bits(np.concatenate([r for _, _, r in bands]),
+                              semiring_block(a, b, sr))
+
+    def test_cases_cover_the_boundaries(self, monkeypatch):
+        """Some band holds a row that a chunk boundary splits beside other
+        rows, some row is wider than the band budget, and some band holds
+        an empty row."""
+        split_in_band = wide = empty = 0
+        for seed in self.SEEDS:
+            a, b, chunk, block, band_cells = self._case(seed)
+            band_rows = max(1, band_cells // b.n_rows)
+            rows = [set(np.unique(c[0]))
+                    for c in _chunked_gather(a, b, chunk)]
+            for r in set().union(*[p & q for p, q in zip(rows, rows[1:])]):
+                start = r - r % band_rows
+                split_in_band += min(start + band_rows, a.n_rows) - start > 1
+            wide += b.n_rows > band_cells
+            empty += bool(np.any(a.row_degrees() == 0))
+        assert split_in_band > 0 and wide > 0 and empty > 0
+
+    def test_one_band_without_a_budget_to_cut(self, rng):
+        a = random_csr(rng, 5, 7)
+        b = random_csr(rng, 4, 7)
+        bands = self._bands(a, b, dot_product_semiring())
+        assert [(r0, r1) for r0, r1, _ in bands] == [(0, 5)]
+
+    def test_zero_row_operand_is_one_empty_band(self, rng):
+        a = CSRMatrix.empty((0, 7))
+        b = random_csr(rng, 4, 7)
+        bands = self._bands(a, b, dot_product_semiring())
+        assert [(r0, r1, rows.shape) for r0, r1, rows in bands] == [
+            (0, 0, (0, 4))]

@@ -8,6 +8,7 @@ from repro.core.semiring import dot_product_semiring, namm_semiring
 from repro.errors import KernelLaunchError
 from repro.gpusim.specs import VOLTA_V100
 from repro.kernels.expand_sort_contract import ExpandSortContractKernel
+from repro.kernels.functional import semiring_block
 from repro.kernels.naive_csr import NaiveCsrKernel
 from repro.sparse.csr import CSRMatrix
 from tests.conftest import random_csr
@@ -21,16 +22,17 @@ class TestNaiveCsr:
     def test_numeric_dot(self, rng):
         a = random_csr(rng, 9, 12)
         b = random_csr(rng, 7, 12)
-        res = NaiveCsrKernel(VOLTA_V100).run(a, b, dot_product_semiring())
-        np.testing.assert_allclose(res.block,
+        NaiveCsrKernel(VOLTA_V100).run(a, b, dot_product_semiring())
+        np.testing.assert_allclose(semiring_block(a, b, dot_product_semiring()),
                                    a.to_dense() @ b.to_dense().T, atol=1e-9)
 
     def test_numeric_union(self, rng):
         a = random_csr(rng, 8, 10)
         b = random_csr(rng, 6, 10)
-        res = NaiveCsrKernel(VOLTA_V100).run(a, b, _manhattan())
+        NaiveCsrKernel(VOLTA_V100).run(a, b, _manhattan())
         want = np.abs(a.to_dense()[:, None] - b.to_dense()[None]).sum(-1)
-        np.testing.assert_allclose(res.block, want, atol=1e-9)
+        np.testing.assert_allclose(semiring_block(a, b, _manhattan()), want,
+                                   atol=1e-9)
 
     def test_exhaustive_even_for_dot(self, rng):
         """§3.2.2: the merge walks the union even when the semiring would
@@ -65,17 +67,18 @@ class TestNaiveCsr:
 
     def test_empty_inputs(self):
         a = CSRMatrix.empty((3, 5))
-        res = NaiveCsrKernel(VOLTA_V100).run(a, a, _manhattan())
-        np.testing.assert_allclose(res.block, 0.0)
+        NaiveCsrKernel(VOLTA_V100).run(a, a, _manhattan())
+        np.testing.assert_allclose(semiring_block(a, a, _manhattan()), 0.0)
 
 
 class TestExpandSortContract:
     def test_numeric(self, rng):
         a = random_csr(rng, 7, 11)
         b = random_csr(rng, 5, 11)
-        res = ExpandSortContractKernel(VOLTA_V100).run(a, b, _manhattan())
+        ExpandSortContractKernel(VOLTA_V100).run(a, b, _manhattan())
         want = np.abs(a.to_dense()[:, None] - b.to_dense()[None]).sum(-1)
-        np.testing.assert_allclose(res.block, want, atol=1e-9)
+        np.testing.assert_allclose(semiring_block(a, b, _manhattan()), want,
+                                   atol=1e-9)
 
     def test_one_block_per_pair(self, rng):
         a = random_csr(rng, 6, 9)

@@ -1,9 +1,12 @@
 """NearestNeighbors estimator tests (the paper's Figure-2 API, end to end)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.core.reference import pairwise_reference
+from repro.datasets import load_dataset
 from repro.errors import ReproError
 from repro.neighbors.brute_force import NearestNeighbors
 from repro.neighbors.topk import select_topk
@@ -184,3 +187,22 @@ class TestPreparedOperands:
         assert sliced.n_rows == 3
         for kind, values in prepared.norms.items():
             np.testing.assert_array_equal(sliced.norms[kind], values[rows])
+
+
+class TestMemory:
+    """The k-NN path holds one row band of distances at a time, never a
+    whole tile (paper §4.2: the dense block need not fit in memory)."""
+
+    @pytest.mark.parametrize("metric", ["manhattan", "cosine"])
+    def test_self_join_peak_below_quarter_block(self, metric):
+        x = load_dataset("movielens", scale=128).matrix  # 2211 rows: 1 tile
+        nn = NearestNeighbors(n_neighbors=10, metric=metric).fit(x)
+        nn.prepared_operands()
+        tracemalloc.start()
+        try:
+            nn.kneighbors()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nn.last_report.n_batches == 1
+        assert peak < x.n_rows * x.n_rows * 8 / 4

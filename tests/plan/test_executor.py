@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.pairwise import pairwise_distances
-from repro.errors import DeviceConfigError
+from repro.errors import DeviceConfigError, ExecutionFaultError
+from repro.faults import FaultInjector, FaultSpec, RecoveryPolicy
 from repro.gpusim.specs import AMPERE_A100, VOLTA_V100
 from repro.gpusim.stats import KernelStats
 from repro.kernels import functional, make_engine
@@ -103,6 +104,72 @@ class TestWorkerDeterminism:
                                  memory_budget_bytes=TINY_BUDGET, n_workers=4)
         assert res.report.simulated_seconds <= res.report.serial_seconds
         assert res.report.n_workers == 4
+
+
+class TestBandedTopK:
+    """k-NN selects each row band's k best inside its tile and merges the
+    tiles' picks at delivery; that must equal selecting over the dense
+    matrix, bit for bit, ties included, however the tiles were run."""
+
+    K = 4
+
+    @pytest.fixture(autouse=True)
+    def small_bands(self, monkeypatch):
+        # 24 cells: 3 rows of a 7-column tile per band.
+        monkeypatch.setattr(functional, "_BAND_CELLS", 24)
+
+    @staticmethod
+    def _binary(rng):
+        return (rng.random((30, 12)) < 0.3).astype(float)  # many ties
+
+    def _assert_equals_dense(self, x, metric, dist, idx):
+        want_dist, want_idx = select_topk(
+            pairwise_distances(x, metric=metric), self.K)
+        assert np.array_equal(dist, want_dist)
+        assert np.array_equal(idx, want_idx)
+
+    @pytest.mark.parametrize("metric", ["manhattan", "cosine", "chebyshev"])
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_kneighbors_equals_select_over_dense(self, rng, metric,
+                                                 n_workers):
+        x = self._binary(rng)
+        nn = NearestNeighbors(n_neighbors=self.K, metric=metric,
+                              batch_rows=7, n_workers=n_workers).fit(x)
+        dist, idx = nn.kneighbors()
+        assert nn.last_report.n_batches == 5
+        self._assert_equals_dense(x, metric, dist, idx)
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_absorbed_oom_split(self, rng, n_workers):
+        x = self._binary(rng)
+        nn = NearestNeighbors(
+            n_neighbors=self.K, metric="manhattan", batch_rows=7,
+            n_workers=n_workers, recovery=RecoveryPolicy(),
+            fault_injector=FaultInjector([FaultSpec("oom", tiles=(1,))],
+                                         seed=0)).fit(x)
+        dist, idx = nn.kneighbors()
+        assert nn.last_report.n_tile_splits == 1
+        self._assert_equals_dense(x, "manhattan", dist, idx)
+
+    def test_resume_after_abort(self, rng):
+        x = self._binary(rng)
+
+        def plan():
+            return build_pairwise_plan(x, None, "manhattan",
+                                       max_tile_rows_b=7)
+
+        consumer = TopKConsumer(self.K)
+        injector = FaultInjector(
+            [FaultSpec("stuck", tiles=(3,), attempts=tuple(range(10)))],
+            seed=0)
+        with pytest.raises(ExecutionFaultError) as exc_info:
+            PlanExecutor(plan(), n_workers=4,
+                         recovery=RecoveryPolicy(max_retries=1),
+                         fault_injector=injector).execute(consumer)
+        assert exc_info.value.watermark == 3
+        dist, idx = PlanExecutor(plan()).execute(
+            consumer, resume_from=exc_info.value.watermark).value
+        self._assert_equals_dense(x, "manhattan", dist, idx)
 
 
 class TestConsumers:
