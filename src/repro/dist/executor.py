@@ -15,7 +15,8 @@ function of the plan:
   ``estimated_seconds`` exactly — same schedule fold, same priced floats;
 - ``n_workers > 1`` runs device compute lanes through the ordered
   :func:`~repro.plan.executor.fan_out` without changing any of the above
-  (accounting replays in flat device order).
+  (accounting, and the device plans' metrics, replay in flat device
+  order).
 
 Mid-transfer link faults (a :class:`~repro.faults.FaultInjector`
 schedule, replayed through :meth:`~repro.faults.FaultInjector.transfer_scope`)
@@ -48,6 +49,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.record import observer
 from repro.obs.telemetry import Telemetry, deterministic_trace_id
 from repro.obs.tracer import (
+    NULL_SPAN,
     Tracer,
     current_trace_context,
     get_default_tracer,
@@ -101,14 +103,14 @@ class DistributedExecutor:
     seeded transfer-fault schedule, and
     ``tracer``/``metrics`` receive comm spans/events and
     ``comm_bytes_total{tier=}`` / ``comm_seconds_total`` counters. Device
-    compute runs with this executor's metrics but *not* its tracer — the
-    distributed trace stays one deterministic tree of comm and device
-    spans regardless of worker count. ``telemetry`` receives one
-    ``"transfer"`` wide event per comm step plus ``"fault"`` events for
-    link retries/aborts, stamped with the ambient trace context (or a
-    trace id minted deterministically from the plan's shape) — the comm
-    loop runs serially on the execute thread, so the event stream is
-    identical for any worker count.
+    compute records into this executor's metrics, in flat device order,
+    but *not* its tracer — the distributed trace stays one deterministic
+    tree of comm and device spans regardless of worker count.
+    ``telemetry`` receives one ``"transfer"`` wide event per comm step
+    plus ``"fault"`` events for link retries/aborts, stamped with the
+    ambient trace context (or a trace id minted deterministically from the
+    plan's shape) — the comm loop runs serially on the execute thread, so
+    the event stream is identical for any worker count.
     """
 
     def __init__(self, plan: DistributedPlan, *, n_workers: int = 1,
@@ -127,6 +129,7 @@ class DistributedExecutor:
         self.metrics = metrics
         self.telemetry = telemetry
         self._obs = observer(self.tracer, metrics, telemetry)
+        self._device_obs = observer(metrics=metrics)
         part = plan.partition
         self._trace_id = (current_trace_context()
                           or deterministic_trace_id(
@@ -188,7 +191,7 @@ class DistributedExecutor:
             interconnect=plan.interconnect.name,
             n_workers=part.n_devices, lanes=self.n_workers,
             resume_from=resume_from)
-        with self._obs, root:
+        with root:
             index = self._done
             while index < len(self._steps):
                 kind, payload = self._steps[index]
@@ -302,12 +305,11 @@ class DistributedExecutor:
         plan = self.plan
         r, c = rc
         device_plan = plan.device_plan(r, c)
-        # Shielded: ambient tracer lookups see an empty stack, as they
-        # would on a pool thread, so the trace tree never depends on
-        # whether this lane ran on the main thread.
+        # Shielded: the device plan's root never nests under dist.execute,
+        # as on a pool thread, so the trace tree never depends on whether
+        # this lane ran on the main thread.
         with shielded_trace_context():
-            report = PlanExecutor(device_plan, n_workers=1,
-                                  metrics=self.metrics).execute(
+            report = PlanExecutor(device_plan, n_workers=1).execute(
                 TopKConsumer(plan.device_k(c)))
         distances, local_idx = report.value
         global_ids = plan.partition.b_panels[c].row_ids[local_idx]
@@ -318,7 +320,7 @@ class DistributedExecutor:
 
         Serial or on ``n_workers`` threads via :func:`fan_out`; results
         are recorded (and the watermark advanced) in flat device order
-        either way, so clocks, spans, and reports never depend on
+        either way, so clocks, spans, metrics and reports never depend on
         scheduling.
         """
         plan = self.plan
@@ -337,6 +339,7 @@ class DistributedExecutor:
             device = part.device(r, c)
             self._partials[rc] = (distances, global_ids)
             self._device_reports[rc] = report
+            self._device_obs.record(report, span=NULL_SPAN)
             self._clocks[device] += report.simulated_seconds
             with self.tracer.span(
                     f"device[{r},{c}]", "tile", parent=root,

@@ -9,7 +9,7 @@ flaky launches and links. This package provides:
 - :class:`FaultSpec` / :class:`FaultInjector` — the one deterministic,
   seeded fault schedule, armed per tile or transfer attempt through the
   thread's one :func:`repro.gpusim.executor.fault_hook`, which
-  :func:`~repro.gpusim.executor.simulate_launch`,
+  :meth:`~repro.gpusim.executor.Launch.execute`,
   :func:`~repro.gpusim.interconnect.simulate_transfer` and every kernel's
   ``run`` consult, so any test or benchmark can replay an exact fault
   sequence; plan tiles, distributed transfers and compaction shard

@@ -9,7 +9,7 @@ distributed executor every transfer attempt in
 checkpoint as this thread's :func:`repro.gpusim.executor.fault_hook`
 (thread-local, so concurrent workers never see each other's sites), which
 
-- :func:`repro.gpusim.executor.simulate_launch` consults, raising
+- :meth:`repro.gpusim.executor.Launch.execute` consults, raising
   ``transient`` / ``stuck`` faults exactly where a real
   ``cudaLaunchKernel`` would fail;
 - :func:`repro.gpusim.interconnect.simulate_transfer` consults, raising

@@ -12,8 +12,7 @@ See DESIGN.md §2 for why this substitution preserves the paper's claims.
 
 from repro.gpusim.cost_model import (CostModel, OperandProbe,
                                      SimulatedTime, price_launch)
-from repro.gpusim.executor import (Launch, LaunchResult, LaunchSchedule,
-                                   simulate_launch)
+from repro.gpusim.executor import Launch, LaunchResult, LaunchSchedule
 from repro.gpusim.interconnect import (
     INTERCONNECTS,
     InterconnectSpec,
@@ -49,7 +48,6 @@ __all__ = [
     "Launch",
     "LaunchResult",
     "LaunchSchedule",
-    "simulate_launch",
     "LinkSpec",
     "Transfer",
     "InterconnectSpec",

@@ -150,8 +150,8 @@ def price_launch(spec: DeviceSpec, stats: KernelStats, *,
     """Stamp a launch shape onto ``stats`` and price it — no side effects.
 
     This is the pricing core shared by the real launch path
-    (:func:`repro.gpusim.executor.simulate_launch`, which adds metrics,
-    trace events, and fault interception on top) and
+    (:meth:`repro.gpusim.executor.Launch.execute`, which adds fault
+    interception on top) and
     :meth:`LaunchSchedule.price <repro.gpusim.executor.LaunchSchedule.price>`.
     Sharing one implementation is what makes estimates *exact*: the same
     counted stats go through the same arithmetic, so estimated and

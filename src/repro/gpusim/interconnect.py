@@ -7,10 +7,12 @@ schedule, not kernel choice, decide distributed SpGEMM performance). This
 module makes that cost explicit: a :class:`LinkSpec` prices one directed
 link with the classic latency + size/bandwidth model, an
 :class:`InterconnectSpec` maps device pairs onto links for a topology, and
-the :func:`price_transfer` / :func:`simulate_transfer` pair mirrors the
-``price_launch`` / ``simulate_launch`` split — pricing is side-effect-free
-and shared with the partition autotuner's dry runs, while simulation adds
-the fault checkpoint, metrics, and trace events.
+the :func:`price_transfer` / :func:`simulate_transfer` pair mirrors
+:class:`~repro.gpusim.Launch`'s ``price`` / ``execute`` split — pricing is
+side-effect-free and shared with the partition autotuner's dry runs, while
+simulation adds the fault checkpoint. Neither records anything: the
+distributed executor's observer turns each completed transfer into the
+``comm_*`` metrics and a ``comm.transfer`` event.
 
 Three named presets mirror :func:`repro.gpusim.get_device`:
 
@@ -32,7 +34,6 @@ from typing import Optional
 
 from repro.errors import InterconnectConfigError
 from repro.gpusim.executor import fault_checkpoint
-from repro.obs.tracer import current_metrics, current_tracer
 
 __all__ = [
     "LinkSpec",
@@ -211,27 +212,11 @@ def get_interconnect(name, n_devices: int) -> InterconnectSpec:
 
 def simulate_transfer(interconnect: InterconnectSpec, nbytes: int,
                       src: int, dst: int) -> Transfer:
-    """Price a transfer and record it: fault checkpoint, metrics, trace event.
+    """Price a transfer behind the fault checkpoint.
 
-    The observable analogue of :func:`~repro.gpusim.simulate_launch`:
-    the thread's fault hook (see :func:`~repro.gpusim.executor.fault_hook`)
-    may raise before pricing, impersonating a mid-transfer link fault; the
-    priced result feeds ``comm_bytes_total{tier=}`` /
-    ``comm_seconds_total`` and a ``comm.transfer`` trace event on the
-    current tracer.
+    The transfer analogue of :meth:`~repro.gpusim.Launch.execute`: the
+    thread's fault hook (see :func:`~repro.gpusim.executor.fault_hook`)
+    may raise before pricing, impersonating a mid-transfer link fault.
     """
     fault_checkpoint("transfer", nbytes=nbytes, src=src, dst=dst)
-    transfer = interconnect.price_transfer(nbytes, src, dst)
-
-    metrics = current_metrics()
-    metrics.counter("comm_transfers_total").inc()
-    metrics.counter("comm_bytes_total").inc(transfer.nbytes,
-                                            tier=transfer.tier)
-    metrics.counter("comm_seconds_total").inc(transfer.seconds)
-    tracer = current_tracer()
-    if tracer.enabled:
-        tracer.event(
-            "comm.transfer", "comm", transfer.seconds,
-            nbytes=int(transfer.nbytes), src=int(transfer.src),
-            dst=int(transfer.dst), tier=transfer.tier)
-    return transfer
+    return interconnect.price_transfer(nbytes, src, dst)

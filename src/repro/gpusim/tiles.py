@@ -3,7 +3,7 @@
 The execution-plan layer (:mod:`repro.plan`) decomposes one pairwise job
 into a grid of output tiles and runs each tile as its own sequence of kernel
 launches, optionally on several concurrent workers (the stand-in for CUDA
-streams or multiple GPUs). :func:`simulate_launch` already prices the *time*
+streams or multiple GPUs). :meth:`Launch.execute` already prices the *time*
 of each launch; this module accounts for the *memory* story the paper tells
 in §4.3 — the dense output block plus the kernel workspace is what forces
 batching in the first place — so the benches can report the peak bytes a

@@ -26,7 +26,6 @@ from repro.faults.injector import kernel_checkpoint
 from repro.gpusim.executor import LaunchSchedule
 from repro.gpusim.specs import DeviceSpec, VOLTA_V100
 from repro.gpusim.stats import KernelStats
-from repro.obs.tracer import current_metrics
 from repro.sparse.csr import CSRMatrix, check_same_n_cols
 
 __all__ = ["KernelResult", "PairwiseKernel", "product_cost_profile"]
@@ -79,23 +78,27 @@ class PairwiseKernel:
         """
         return LaunchSchedule()
 
-    def run(self, a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> KernelResult:
+    def run(self, a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
+            log: Optional[list] = None) -> KernelResult:
         """Launch the schedule; the block itself is the executor's
         :func:`~repro.kernels.functional.semiring_block`.
 
         The fault-injection checkpoint fires first: it is the simulated
         moment the kernel claims its device workspace and shared-memory
         staging (an active :class:`repro.faults.FaultInjector` raises
-        workspace-OOM and hash-capacity faults here). Every call counts once
-        in ``engine_selected_total{engine=...}``, so operators can reconcile
+        workspace-OOM and hash-capacity faults here). Past it, the engine's
+        name goes into the launch ``log``, then each launch (see
+        :meth:`~repro.gpusim.executor.LaunchSchedule.execute`): the
+        executor's observer counts every such run once in
+        ``engine_selected_total{engine=...}``, so operators can reconcile
         which engine ran each tile.
         """
         check_same_n_cols(a, b)
         kernel_checkpoint(self)
-        current_metrics().counter("engine_selected_total").inc(
-            engine=self.name)
+        log = [] if log is None else log
+        log.append(self.name)
         schedule = self.schedule(a, b, semiring)
-        stats, seconds = schedule.execute(self.spec)
+        stats, seconds = schedule.execute(self.spec, log)
         self.last_schedule = schedule
         return KernelResult(stats=stats, seconds=seconds, schedule=schedule)
 

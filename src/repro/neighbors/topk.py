@@ -61,12 +61,11 @@ def select_topk(distances: np.ndarray, k: int,
     tied[over] &= rank <= need[over, None]
     keep |= tied
     idx = np.flatnonzero(keep).reshape(n_rows, k) % n_cols
-    val = np.take_along_axis(keyed, idx, axis=1)
+    rows = np.arange(n_rows)[:, None]
+    val = keyed[rows, idx]
     # Sort the k picks by (value, index).
     order = np.lexsort((idx, val), axis=1)
-    idx = np.take_along_axis(idx, order, axis=1)
-    val = np.take_along_axis(val, order, axis=1)
-    return (val if ascending else -val), idx
+    return (val if ascending else -val)[rows, order], idx[rows, order]
 
 
 def suppress_pairs(values: np.ndarray, indices: np.ndarray,
@@ -171,11 +170,12 @@ class TopKAccumulator:
         # Tie-break on the *stored global* ids, not buffer position: shard
         # merges feed interleaved ids, where positional order lies.
         order = np.lexsort((self._indices, self._values), axis=1)[:, :self.k]
-        self._values = np.take_along_axis(self._values, order, axis=1)
-        self._indices = np.take_along_axis(self._indices, order, axis=1)
+        rows = np.arange(self.n_rows)[:, None]
+        self._values = self._values[rows, order]
+        self._indices = self._indices[rows, order]
 
     def finalize(self) -> Tuple[np.ndarray, np.ndarray]:
         """Sorted ``(distances, indices)`` of the k best seen so far."""
         order = np.lexsort((self._indices, self._values), axis=1)
-        return (np.take_along_axis(self._values, order, axis=1),
-                np.take_along_axis(self._indices, order, axis=1))
+        rows = np.arange(self.n_rows)[:, None]
+        return self._values[rows, order], self._indices[rows, order]

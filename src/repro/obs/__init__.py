@@ -78,10 +78,7 @@ from repro.obs.tracer import (
     SpanEvent,
     Tracer,
     canonical_trees_equal,
-    current_metrics,
-    current_span,
     current_trace_context,
-    current_tracer,
     get_default_tracer,
     set_default_tracer,
     trace_context,
@@ -111,9 +108,6 @@ __all__ = [
     "SLOMonitor",
     "default_serve_objectives",
     "priority_latency_objectives",
-    "current_tracer",
-    "current_span",
-    "current_metrics",
     "current_trace_context",
     "trace_context",
     "get_default_tracer",

@@ -61,8 +61,6 @@ def _emit_span(span: Span, start_us: float, tid: int,
     duration in simulated microseconds."""
     dur = _span_duration_us(span)
     args = {k: _jsonable(v) for k, v in span.args.items()}
-    if span.wall_seconds:
-        args["wall_seconds"] = round(span.wall_seconds, 6)
     if span.status != "ok":
         args["status"] = span.status
     if not span.finished:

@@ -9,9 +9,11 @@ DESIGN.md §16) whose entries project the fact onto the sinks — metric
 updates, a span annotation or post-hoc span, a wide event — so every
 metric name, help string, label set, fact span name and event attribute
 lives here. With no sink attached ``record`` returns at once. Timing
-scopes (``plan.execute``, ``tile[i,j]``, ``shard[i]``, ...) stay spans the
-component opens; kernel and launch recording stays ambient: entering an
-observer (``with obs:``) makes its registry the thread's ambient one.
+scopes (``plan.execute``, ``shard[i]``, ...) stay spans the component
+opens. Launches and transfers record nothing where they run: a planned
+tile's outcome carries its *launch log* (:func:`_launch_log`), which the
+plan executor's observer records with the tile, in tile order, when the
+plan completes or aborts, so serial and N-worker runs record the same.
 """
 
 from __future__ import annotations
@@ -19,15 +21,10 @@ from __future__ import annotations
 import functools
 from typing import Tuple
 
+from repro.gpusim.executor import Launch, LaunchResult
 from repro.obs.metrics import NULL_METRICS
 from repro.obs.telemetry import deterministic_trace_id, trace_id_for_request
-from repro.obs.tracer import (
-    NULL_SPAN,
-    NULL_TRACER,
-    current_trace_context,
-    pop_metrics,
-    push_metrics,
-)
+from repro.obs.tracer import NULL_SPAN, NULL_TRACER, current_trace_context
 
 __all__ = ["Observer", "NULL_OBSERVER", "observer", "LATENCY_BUCKETS_MS"]
 
@@ -43,12 +40,10 @@ class Observer:
     """The sinks one component records into, and the one way to record.
 
     ``tracer`` / ``metrics`` default to the no-op tracer and registry;
-    ``telemetry`` stays ``None`` when absent. As a context manager it makes
-    the registry the component was given (even the null one, which masks
-    an outer registry) the thread's ambient sink for kernels and launches.
+    ``telemetry`` stays ``None`` when absent.
     """
 
-    __slots__ = ("tracer", "metrics", "telemetry", "active", "_given")
+    __slots__ = ("tracer", "metrics", "telemetry", "active")
 
     def __init__(self, tracer=None, metrics=None, telemetry=None):
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -56,15 +51,6 @@ class Observer:
         self.telemetry = telemetry
         self.active = (self.tracer.enabled or telemetry is not None
                        or self.metrics is not NULL_METRICS)
-        self._given = metrics
-
-    def __enter__(self):
-        if self._given is not None:
-            push_metrics(self._given)
-
-    def __exit__(self, exc_type, exc, tb):
-        if self._given is not None:
-            pop_metrics()
 
     def record(self, fact, **context) -> None:
         """Project one fact onto every attached sink (see the table)."""
@@ -273,6 +259,81 @@ def _resolved(obs, report, *, request, failed, span):
                               requested_k=report.requested_k)
 
 
+# -- launches: repro.gpusim.executor, repro.kernels.base ----------------
+def _launch(obs, launch, result, span) -> None:
+    """One launch of a launch log, under ``span``: its kernel span when it
+    names one (with its step spans; failed when ``result`` is the type of
+    the fault that stopped it), and for a completed launch its
+    ``gpusim.launch`` event and the launch metrics."""
+    if launch.span is not None:
+        kernel = obs.tracer.span(launch.span, "kernel", parent=span)
+        with kernel:
+            for name, args in launch.steps:
+                with obs.tracer.span(name, "kernel", parent=kernel) as step:
+                    step.annotate(**args)
+        if not isinstance(result, LaunchResult):
+            kernel.fail(result)
+            return
+        kernel.set_sim_seconds(result.seconds)
+        kernel.annotate(**launch.args)
+        span = kernel
+    elif not isinstance(result, LaunchResult):
+        return
+    time = result.time
+    m = obs.metrics
+    m.counter("kernel_launches_total").inc()
+    m.histogram("launch_simulated_ms").observe(time.seconds * 1e3)
+    m.histogram("occupancy_fraction").observe(time.occupancy_fraction)
+    if time.compute_seconds >= time.memory_seconds:
+        m.counter("launches_compute_bound_total").inc()
+    else:
+        m.counter("launches_memory_bound_total").inc()
+    m.counter("launches_limited_total").inc(factor=time.limited)
+    m.counter("launch_compute_seconds_total").inc(time.compute_seconds)
+    m.counter("launch_memory_seconds_total").inc(time.memory_seconds)
+    m.counter("launch_fixed_seconds_total").inc(time.fixed_seconds)
+    if obs.tracer.enabled:
+        span.event("gpusim.launch", "launch", time.seconds,
+                   grid_blocks=int(launch.grid_blocks),
+                   block_threads=int(launch.block_threads),
+                   smem_per_block=int(launch.smem_per_block),
+                   occupancy=round(time.occupancy_fraction, 4),
+                   bound=time.bound, limited=time.limited,
+                   limiting_factor=result.occupancy.limiting_factor,
+                   compute_us=time.compute_seconds * 1e6,
+                   memory_us=time.memory_seconds * 1e6,
+                   fixed_us=time.fixed_seconds * 1e6)
+    # a hybrid (§3.3) pass: the load factor of every hash table it built
+    load_factors = getattr(launch.profile, "load_factors", None)
+    if load_factors is not None:
+        histogram = m.histogram("hash_load_factor")
+        for load_factor in load_factors:
+            histogram.observe(load_factor)
+
+
+def _launch_log(obs, log, span) -> None:
+    """A launch log, recorded under ``span`` in the order it was written.
+
+    Its entries: an engine's name for each attempt that passed kernel
+    entry (:meth:`~repro.kernels.base.PairwiseKernel.run`); ``(launch,
+    result)`` for each launch, ``result`` being the type of the fault
+    that stopped it when it did
+    (:meth:`~repro.gpusim.executor.LaunchSchedule.execute`);
+    and ``(name, category, seconds, args)`` for the step a launch priced
+    (an epilogue, the norms), recorded as a child span.
+    """
+    for entry in log:
+        if isinstance(entry, str):
+            obs.metrics.counter("engine_selected_total").inc(engine=entry)
+        elif isinstance(entry[0], Launch):
+            _launch(obs, *entry, span)
+        else:
+            name, category, seconds, args = entry
+            with obs.tracer.span(name, category, parent=span) as step:
+                step.set_sim_seconds(seconds)
+                step.annotate(**args)
+
+
 # -- plan execution: repro.plan.executor -------------------------------
 def _tile_fault_event(span, ev) -> None:
     """One recovery action of a tile, as an event on its tile span."""
@@ -281,9 +342,24 @@ def _tile_fault_event(span, ev) -> None:
                detail=ev.detail)
 
 
-def _tile(obs, outcome):
-    """_RectResult of a planned tile, recorded in tile order; its recovery
-    events (the report's fault log) annotate the tile span."""
+def _tile_span(obs, fact, root):
+    """A planned tile's span under ``root``: its launch log, then the
+    recovery events of its fault log."""
+    tile = fact.tile
+    span = obs.tracer.span(
+        f"tile[{tile.band_a},{tile.band_b}]", "tile", parent=root,
+        tile=tile.index, lane=fact.lane, rows_a=tile.rows_a,
+        rows_b=tile.rows_b)
+    with span:
+        _launch_log(obs, fact.log, span)
+    for ev in fact.events:
+        _tile_fault_event(span, ev)
+    return span
+
+
+def _tile(obs, outcome, *, root):
+    """_RectResult of a tile the consumer received, recorded in tile
+    order under the plan's ``root`` span."""
     m = obs.metrics
     _inc(obs, "tiles_executed", "tiles delivered to the consumer")
     m.histogram("simulated_ms", "per-tile simulated milliseconds").observe(
@@ -306,24 +382,25 @@ def _tile(obs, outcome):
         counter = m.counter(name, help_text)
         if amount:
             counter.inc(amount)
-    span = outcome.span
+    span = _tile_span(obs, outcome, root)
     span.set_sim_seconds(outcome.seconds)
     span.annotate(retries=outcome.n_retries, splits=outcome.n_splits,
                   degraded=outcome.degraded)
-    for ev in outcome.events:
-        _tile_fault_event(span, ev)
 
 
 def _tile_failed(obs, failure, *, root, unabsorbed):
     """_TileFailure: a tile failed beyond recovery and aborts the plan."""
-    for ev in failure.events:
-        _tile_fault_event(failure.span, ev)
+    _tile_span(obs, failure, root).fail(type(failure))
     root.event("unabsorbed", "fault", tile=unabsorbed.tile_index,
                kind=unabsorbed.kind.value, detail=unabsorbed.detail)
 
 
 def _plan_executed(obs, report, *, span):
-    """PlanExecutionReport: a plan execution completed."""
+    """PlanExecutionReport: a plan execution completed. Its delivered
+    tiles, then its own launch log (the norms), then the plan."""
+    for outcome in report.tiles:
+        _tile(obs, outcome, root=span)
+    _launch_log(obs, report.launch_log, span)
     span.set_sim_seconds(report.simulated_seconds)
     m = obs.metrics
     _inc(obs, "plans_executed", "completed plan executions")
@@ -339,6 +416,13 @@ def _plan_executed(obs, report, *, span):
 def _transferred(obs, transfer, *, span, step, phase, retries,
                  backoff_seconds, trace_id, ts_ms):
     """Transfer: one comm step completed (after any link retries)."""
+    m = obs.metrics
+    m.counter("comm_transfers_total").inc()
+    m.counter("comm_bytes_total").inc(transfer.nbytes, tier=transfer.tier)
+    m.counter("comm_seconds_total").inc(transfer.seconds)
+    span.event("comm.transfer", "comm", transfer.seconds,
+               nbytes=int(transfer.nbytes), src=int(transfer.src),
+               dst=int(transfer.dst), tier=transfer.tier)
     span.set_sim_seconds(transfer.seconds)
     span.annotate(tier=transfer.tier, retries=retries,
                   backoff_seconds=backoff_seconds)

@@ -14,33 +14,27 @@ Design constraints, in order:
    path keeps no allocation per tile (verified by
    ``tests/obs/test_tracer.py``).
 2. **Deterministic trees.** Span parentage follows the per-thread span
-   stack (a tile's kernel/expansion spans nest under the tile span on
-   whichever worker thread ran it) with an explicit ``parent=`` escape for
-   cross-thread attachment (tile spans under the main thread's
-   ``plan.execute`` root). Sibling *completion* order may vary with worker
-   scheduling, so :meth:`Tracer.span_tree` canonicalizes by sorting
-   children — serial and N-worker executions of one plan yield identical
-   trees.
-3. **Simulated time, not wall time.** Spans record the cost model's
-   seconds (``sim_seconds``); wall seconds are kept as a diagnostic arg
-   only. The Chrome exporter (:mod:`repro.obs.chrome_trace`) lays the
-   timeline out from simulated durations with the executor's deterministic
-   round-robin lane model, so the trace is a property of the plan, never
-   of host scheduling.
+   stack, with an explicit ``parent=`` for spans recorded after the fact
+   (a tile's span and the kernel, epilogue and step spans under it, which
+   the plan executor's observer records from the tile's launch log, in
+   tile order, when the plan completes or aborts). :meth:`Tracer.span_tree`
+   also sorts children, so serial and N-worker executions of one plan
+   yield identical trees.
+3. **Simulated time only.** Spans record the cost model's seconds
+   (``sim_seconds``). The Chrome exporter (:mod:`repro.obs.chrome_trace`)
+   lays the timeline out from simulated durations with the executor's
+   deterministic round-robin lane model, so the trace is a property of the
+   plan, never of host scheduling.
 
-Kernels and the launch simulator reach the active tracer through
-:func:`current_tracer` — the innermost open span's tracer on the calling
-thread — so no kernel signature carries tracing arguments.
+Nothing below the executors looks a tracer up: the simulated device and
+the kernels only return what they did (:mod:`repro.gpusim.executor`).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from typing import List, Optional
-
-from repro.obs.metrics import NULL_METRICS
 
 __all__ = [
     "Span",
@@ -48,11 +42,6 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "current_tracer",
-    "current_metrics",
-    "current_span",
-    "push_metrics",
-    "pop_metrics",
     "get_default_tracer",
     "set_default_tracer",
     "shielded_trace_context",
@@ -82,16 +71,15 @@ class SpanEvent:
 
 
 class Span:
-    """One traced region; a context manager that times itself on exit.
+    """One traced region; a context manager that opens and closes it.
 
     ``sim_seconds`` is the simulated duration charged by whoever opened the
-    span (None until :meth:`set_sim_seconds`); ``wall_seconds`` is the host
-    time the region took, kept for diagnostics only.
+    span (None until :meth:`set_sim_seconds`).
     """
 
     __slots__ = ("tracer", "span_id", "name", "category", "parent",
-                 "children", "args", "events", "sim_seconds", "wall_seconds",
-                 "status", "finished", "_wall_start")
+                 "children", "args", "events", "sim_seconds", "status",
+                 "finished")
 
     def __init__(self, tracer: "Tracer", span_id: int, name: str,
                  category: str, parent: Optional["Span"], args: dict):
@@ -104,24 +92,19 @@ class Span:
         self.args = args
         self.events: List[SpanEvent] = []
         self.sim_seconds: Optional[float] = None
-        self.wall_seconds: float = 0.0
         self.status = "ok"
         #: False while the span is open (or was never exited): exports mark
         #: such spans explicitly instead of reporting misleading durations
         self.finished = False
-        self._wall_start = 0.0
 
     # -- context manager ----------------------------------------------
     def __enter__(self) -> "Span":
         self.tracer._open(self)
-        self._wall_start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        self.wall_seconds = time.perf_counter() - self._wall_start
         if exc_type is not None:
-            self.status = "error"
-            self.args.setdefault("error", exc_type.__name__)
+            self.fail(exc_type)
         self.finished = True
         self.tracer._close(self)
 
@@ -143,6 +126,13 @@ class Span:
         ev = SpanEvent(name, category, seconds, args)
         self.events.append(ev)
         return ev
+
+    def fail(self, exc_type: type) -> "Span":
+        """Mark the span failed by an ``exc_type`` error, as an exception
+        leaving it does (for spans recorded after the fact)."""
+        self.status = "error"
+        self.args.setdefault("error", exc_type.__name__)
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         sim = f", sim={self.sim_seconds:.3g}s" if self.sim_seconds else ""
@@ -209,17 +199,6 @@ class Tracer:
         elif stack and span in stack:  # pragma: no cover - defensive
             stack.remove(span)
 
-    def event(self, name: str, category: str = "note",
-              seconds: float = 0.0, **args) -> Optional[SpanEvent]:
-        """Attach an instant event to the calling thread's open span
-        (or to the last root when no span is open)."""
-        stack = getattr(_TLS, "spans", None)
-        target = stack[-1] if stack else (self.roots[-1] if self.roots
-                                          else None)
-        if target is None:
-            return None
-        return target.event(name, category, seconds, **args)
-
     # -- inspection ----------------------------------------------------
     def spans_named(self, name: str) -> List[Span]:
         return [s for s in self.spans if s.name == name]
@@ -242,11 +221,11 @@ class Tracer:
     def span_tree(self) -> List[dict]:
         """Canonical nested representation, independent of worker count.
 
-        Children are sorted by ``(name, tile index)`` because sibling
-        completion order depends on scheduling; lane assignments and wall
-        times are omitted for the same reason. A span still open at export
-        time is marked ``"unfinished": True`` (finished spans carry no such
-        key, so trees recorded entirely from closed spans are unchanged).
+        Children are sorted by ``(name, tile index)``, and lane
+        assignments, which depend on the worker count, are omitted. A span
+        still open at export time is marked ``"unfinished": True``
+        (finished spans carry no such key, so trees recorded entirely from
+        closed spans are unchanged).
         """
         def node(span: Span) -> dict:
             children = sorted(
@@ -295,6 +274,9 @@ class _NullSpan:
     def event(self, name, category="note", seconds=0.0, **args):
         return None
 
+    def fail(self, exc_type):
+        return self
+
 
 NULL_SPAN = _NullSpan()
 
@@ -311,9 +293,6 @@ class NullTracer(Tracer):
 
     def span(self, name, category="", *, parent=None, **args):
         return NULL_SPAN
-
-    def event(self, name, category="note", seconds=0.0, **args):
-        return None
 
     def span_tree(self):
         return []
@@ -339,32 +318,15 @@ def set_default_tracer(tracer: Optional[Tracer]) -> Tracer:
     return previous
 
 
-def current_span() -> Optional[Span]:
-    """The innermost open span on this thread, if any."""
-    stack = getattr(_TLS, "spans", None)
-    return stack[-1] if stack else None
-
-
-def current_tracer() -> Tracer:
-    """The tracer owning this thread's innermost open span (NULL if none).
-
-    This is how kernels and the launch simulator find the active tracer
-    without signature changes: the executor opens the tile span on the
-    worker thread before calling into the kernel.
-    """
-    stack = getattr(_TLS, "spans", None)
-    return stack[-1].tracer if stack else NULL_TRACER
-
-
 @contextmanager
 def shielded_trace_context():
     """Run a block with an empty span stack on this thread.
 
-    Inside the block, :func:`current_tracer` / :func:`current_span` see
-    nothing, so ambient instrumentation (kernel launches, transfers)
-    records nowhere — exactly what a fresh worker thread sees. The
-    distributed executor shields per-device compute with this so its trace
-    tree is identical whether lanes run on the main thread or a pool.
+    A span opened inside without ``parent=`` becomes a root, exactly as on
+    a fresh worker thread. The distributed executor shields per-device
+    compute with this, so a device plan's ``plan.execute`` root never
+    nests under ``dist.execute`` when both record into one tracer, and the
+    trace tree is identical whether lanes run on the main thread or a pool.
 
     The **trace context** (:func:`current_trace_context`) deliberately
     survives the shield: shielding hides *span parentage*, not request
@@ -421,27 +383,7 @@ def trace_context(trace_id: str):
         pop_trace_context()
 
 
-def push_metrics(registry) -> None:
-    """Make ``registry`` this thread's active metrics sink (LIFO)."""
-    stack = getattr(_TLS, "metrics", None)
-    if stack is None:
-        stack = _TLS.metrics = []
-    stack.append(registry)
-
-
-def pop_metrics() -> None:
-    stack = getattr(_TLS, "metrics", None)
-    if stack:
-        stack.pop()
-
-
-def current_metrics():
-    """This thread's active metrics registry (the null registry if none)."""
-    stack = getattr(_TLS, "metrics", None)
-    return stack[-1] if stack else NULL_METRICS
-
-
 def canonical_trees_equal(a: Tracer, b: Tracer) -> bool:
-    """Whether two tracers recorded the same span tree (ignoring lanes,
-    ordering, and wall times)."""
+    """Whether two tracers recorded the same span tree (ignoring lanes and
+    sibling order)."""
     return a.span_tree() == b.span_tree()

@@ -10,7 +10,9 @@ too), simulating concurrent streams / multi-GPU execution, while keeping
 every observable output deterministic:
 
 - tiles are delivered to the consumer in tile order, because
-  :func:`fan_out` yields results in item order;
+  :func:`fan_out` yields results in item order, and their facts (spans,
+  launch metrics, fault events) are recorded from what was delivered,
+  in tile order, when the execution completes or aborts;
 - an engine's schedule is a pure function of the tile's operands, so one
   kernel instance serves every tile and worker;
 - merged :class:`KernelStats` accumulate in tile order;
@@ -42,8 +44,8 @@ is never mistaken for a result), and a structured
 :class:`~repro.errors.ExecutionFaultError` carries the fault log plus a
 resumable watermark — re-running with ``resume_from=err.watermark`` on the
 same consumer finishes the job. The aborted run has delivered exactly the
-tiles before the failed one, so the watermark and fault log are the serial
-run's for any worker count.
+tiles before the failed one, so the watermark, fault log and recorded facts
+are the serial run's for any worker count.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from repro.kernels.host import HostKernel
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import round_robin_lanes
 from repro.obs.record import observer
-from repro.obs.tracer import NULL_SPAN, Tracer, get_default_tracer
+from repro.obs.tracer import Tracer, get_default_tracer
 from repro.plan.consumers import DenseBlockConsumer, TileConsumer
 from repro.plan.pairwise_plan import PairwisePlan
 from repro.plan.tiling import Tile
@@ -131,6 +133,11 @@ class PlanExecutionReport:
     fault_log: Tuple[FaultEvent, ...] = ()
     #: tile index this execution resumed from (0 = full run)
     resumed_from: int = 0
+    # ---- what the observer records ----------------------------------
+    #: the delivered tiles' outcomes, payloads dropped (tile order)
+    tiles: Tuple["_RectResult", ...] = field(default=(), repr=False)
+    #: the plan's own launch log: the norms launch and its step
+    launch_log: List[object] = field(default_factory=list, repr=False)
 
     @property
     def peak_resident_bytes(self) -> float:
@@ -168,7 +175,8 @@ class _Rect:
 @dataclass
 class _RectResult:
     """One recovered rect's launch and recovery accounting (for a planned
-    tile, also the tile, its span and its sink's payload)."""
+    tile, also the tile, its lane, its launch log and its sink's
+    payload)."""
 
     stats: KernelStats
     seconds: float
@@ -179,24 +187,28 @@ class _RectResult:
     degraded: bool = False
     schedule: Optional[LaunchSchedule] = None
     tile: Optional[Tile] = None
-    #: the tile's span (the shared no-op span when untraced)
-    span: object = NULL_SPAN
+    lane: int = 0
+    #: every attempt's engine and launches, then each epilogue step, in
+    #: execution order (see :func:`repro.obs.record._launch_log`)
+    log: List[object] = field(default_factory=list)
     #: what the consumer's tile sink made of the tile's distances
     payload: object = None
 
 
 class _TileFailure(Exception):
-    """Internal: a tile failed beyond what the recovery policy absorbs."""
+    """Internal: a tile failed beyond what the recovery policy absorbs.
 
-    #: the failed tile's span, attached on the way out of the tile scope
-    span = NULL_SPAN
+    Carries the tile's lane and launch log so far, like an outcome."""
+
+    lane = 0
 
     def __init__(self, tile: Tile, cause: Exception,
-                 events: List[FaultEvent]):
+                 events: List[FaultEvent], log: List[object]):
         super().__init__(str(cause))
         self.tile = tile
         self.cause = cause
         self.events = events
+        self.log = log
 
 
 def _fault_kind(exc: Exception) -> FaultKind:
@@ -236,8 +248,8 @@ class PlanExecutor:
     metrics:
         Optional :class:`~repro.obs.MetricsRegistry` receiving per-tile
         counters/histograms (``tiles_executed``, ``retries_total``,
-        ``simulated_ms``, ``peak_workspace_bytes``, …) plus whatever the
-        kernels and launch simulator record while a tile is running.
+        ``simulated_ms``, ``peak_workspace_bytes``, …) plus the engine and
+        launch metrics of each delivered tile's launch log.
     """
 
     def __init__(self, plan: PairwisePlan, *, n_workers: int = 1,
@@ -288,6 +300,7 @@ class PlanExecutor:
         n_splits = 0
         backoff = 0.0
         degraded_tiles: List[int] = []
+        delivered: List[_RectResult] = []
         obs = self._obs
 
         root = self.tracer.span(
@@ -297,9 +310,8 @@ class PlanExecutor:
             n_tiles=len(tiles), n_workers=self.n_workers,
             resume_from=resume_from,
             shape=f"{plan.a.n_rows}x{plan.b.n_rows}x{plan.a.n_cols}")
-        run_tile = functools.partial(self._run_tile, root, resume_from,
-                                     consumer)
-        with obs, root:
+        run_tile = functools.partial(self._run_tile, resume_from, consumer)
+        with root:
             try:
                 for outcome in fan_out(run_tile, tiles, self.n_workers):
                     tile = outcome.tile
@@ -319,26 +331,30 @@ class PlanExecutor:
                     backoff += outcome.backoff_seconds
                     if outcome.degraded:
                         degraded_tiles.append(tile.index)
-                    obs.record(outcome)
-                    consumer.consume(tile, outcome.payload)
+                    payload, outcome.payload = outcome.payload, None
+                    delivered.append(outcome)
+                    consumer.consume(tile, payload)
                     consumer.delivered_watermark = tile.index + 1
-            except _TileFailure as failure:
-                self._abort(consumer, failure, fault_log, root)
-            except Exception as exc:  # consumer bugs: still notify
-                consumer.abort(exc)
+            except Exception as exc:
+                for outcome in delivered:
+                    obs.record(outcome, root=root)
+                if isinstance(exc, _TileFailure):
+                    self._abort(consumer, exc, fault_log, root)
+                consumer.abort(exc)  # consumer bugs: still notify
                 raise
 
             norms_seconds = 0.0
+            launch_log: List[object] = []
             if tiles and resume_from == 0 and plan.simulate \
                     and plan.measure.kind == EXPANDED:
                 norms = _norms_launch(plan)
                 if norms is not None:
                     launch = norms.execute(plan.spec)
+                    launch_log.append((norms, launch))
                     stats.merge(launch.stats)
                     norms_seconds = launch.seconds
-                with self.tracer.span("norms.compute", "norms") as nspan:
-                    nspan.set_sim_seconds(norms_seconds)
-                    nspan.annotate(n_norm_kinds=len(plan.measure.norms))
+                launch_log.append(("norms.compute", "norms", norms_seconds,
+                                   {"n_norm_kinds": len(plan.measure.norms)}))
 
         # Record the last tile's schedule on the plan's kernel (tile order,
         # whatever order workers finished in), so diagnostics like
@@ -355,7 +371,8 @@ class PlanExecutor:
             n_workers=self.n_workers, accountant=accountant,
             n_retries=n_retries, n_tile_splits=n_splits,
             degraded_tiles=tuple(degraded_tiles), backoff_seconds=backoff,
-            fault_log=tuple(fault_log), resumed_from=resume_from)
+            fault_log=tuple(fault_log), resumed_from=resume_from,
+            tiles=tuple(delivered), launch_log=launch_log)
         obs.record(report, span=root)
         return report
 
@@ -389,34 +406,27 @@ class PlanExecutor:
         raise failure.cause
 
     # ------------------------------------------------------------------
-    def _run_tile(self, root, lane_base: int, consumer: TileConsumer,
+    def _run_tile(self, lane_base: int, consumer: TileConsumer,
                   tile: Tile) -> _RectResult:
-        """Run one planned tile inside its ``tile[i,j]`` span: settle its
-        launches under the recovery policy, then evaluate its distances
-        into ``consumer``'s sink for it.
+        """Run one planned tile: settle its launches under the recovery
+        policy, then evaluate its distances into ``consumer``'s sink for
+        it.
 
-        The span attaches to the main thread's ``plan.execute`` root
-        explicitly (worker threads have no open span of their own) and then
-        sits on *this* thread's span stack, so kernel/launch spans opened
-        deeper in the call nest under it. The span and the sink's payload
-        ride on the outcome (the span also on the failure): the tile's
-        facts are recorded, and its payload consumed, at delivery, in tile
-        order, whatever order the workers finished in.
+        The outcome (and a failure) carries the tile's lane and launch log,
+        the outcome also its sink's payload: the tile is consumed, and its
+        facts recorded, in tile order, whatever order the workers finished
+        in.
         """
         lane = (tile.index - lane_base) % self.n_workers
-        span = self.tracer.span(
-            f"tile[{tile.band_a},{tile.band_b}]", "tile",
-            parent=root, tile=tile.index, lane=lane,
-            rows_a=tile.rows_a, rows_b=tile.rows_b)
-        with self._obs, span:
-            try:
-                res = self._run_rect(
-                    tile, _Rect(tile.a0, tile.a1, tile.b0, tile.b1))
-            except _TileFailure as failure:
-                failure.span = span
-                raise
-            res.payload = self._distances(tile, consumer.tile_sink(tile))
-        res.tile, res.span = tile, span
+        log: List[object] = []
+        try:
+            res = self._run_rect(
+                tile, _Rect(tile.a0, tile.a1, tile.b0, tile.b1), log)
+        except _TileFailure as failure:
+            failure.lane = lane
+            raise
+        res.payload = self._distances(tile, consumer.tile_sink(tile))
+        res.tile, res.lane, res.log = tile, lane, log
         return res
 
     def _distances(self, tile: Tile, sink) -> object:
@@ -448,8 +458,10 @@ class PlanExecutor:
         return (plan.a.slice_rows(rect.a0, rect.a1),
                 plan.b.slice_rows(rect.b0, rect.b1))
 
-    def _run_rect(self, tile: Tile, rect: _Rect) -> _RectResult:
-        """Launch one rect's schedule under the recovery policy.
+    def _run_rect(self, tile: Tile, rect: _Rect,
+                  log: List[object]) -> _RectResult:
+        """Launch one rect's schedule under the recovery policy, writing
+        its attempts and epilogue to the tile's launch ``log``.
 
         The attempt loop retries transient faults (with simulated backoff),
         steps down the degradation ladder on capacity faults, and recurses
@@ -476,7 +488,8 @@ class PlanExecutor:
                      if injector is not None else nullcontext())
             try:
                 with scope as site:
-                    result = kernel.run(a_t, b_t, plan.measure.semiring)
+                    result = kernel.run(a_t, b_t, plan.measure.semiring,
+                                        log)
             except Exception as exc:  # noqa: BLE001 - classified below
                 action = policy.classify(exc) if policy is not None else None
                 kind = _fault_kind(exc)
@@ -511,9 +524,9 @@ class PlanExecutor:
                         tile_index=tile.index, attempt=attempt,
                         depth=rect.depth, kind=kind, action="split",
                         detail=f"{rect.rows_a}x{rect.rows_b} halved"))
-                    return self._split_rect(tile, rect, events, retries,
-                                            backoff, degraded)
-                raise _TileFailure(tile, exc, events) from exc
+                    return self._split_rect(tile, rect, log, events,
+                                            retries, backoff, degraded)
+                raise _TileFailure(tile, exc, events, log) from exc
             break
 
         stats = result.stats
@@ -523,14 +536,15 @@ class PlanExecutor:
         n_cells = rect.rows_a * rect.rows_b
         measure = plan.measure
         if simulate and _has_epilogue(measure):
-            launch = _epilogue_launch(n_cells).execute(plan.spec)
+            epilogue = _epilogue_launch(n_cells)
+            launch = epilogue.execute(plan.spec)
             stats.merge(launch.stats)
             seconds += launch.seconds
             name = ("expansion.apply" if measure.kind == EXPANDED
                     else "finalize.apply")
-            with self.tracer.span(name, "epilogue") as espan:
-                espan.set_sim_seconds(launch.seconds)
-                espan.annotate(n_cells=n_cells)
+            log.append((epilogue, launch))
+            log.append((name, "epilogue", launch.seconds,
+                        {"n_cells": n_cells}))
 
         if site is not None and site.slow_seconds > 0.0:
             seconds += site.slow_seconds
@@ -544,7 +558,7 @@ class PlanExecutor:
                            backoff_seconds=backoff, degraded=degraded,
                            schedule=result.schedule)
 
-    def _split_rect(self, tile: Tile, rect: _Rect,
+    def _split_rect(self, tile: Tile, rect: _Rect, log: List[object],
                     events: List[FaultEvent], retries: int, backoff: float,
                     degraded: bool) -> _RectResult:
         """Halve an OOMing rect along its longer axis and merge the halves'
@@ -563,7 +577,7 @@ class PlanExecutor:
             children = [_Rect(rect.a0, rect.a1, rect.b0, mid, rect.depth + 1),
                         _Rect(rect.a0, rect.a1, mid, rect.b1, rect.depth + 1)]
 
-        parts = [self._run_rect(tile, child) for child in children]
+        parts = [self._run_rect(tile, child, log) for child in children]
         stats = KernelStats()
         seconds = 0.0
         for part in parts:

@@ -12,7 +12,7 @@ from repro.gpusim.interconnect import (
     simulate_transfer,
 )
 from repro.obs import MetricsRegistry, Tracer
-from repro.obs.tracer import pop_metrics, push_metrics
+from repro.obs.record import observer
 
 
 def test_link_seconds_alpha_beta_model():
@@ -106,16 +106,20 @@ def test_spec_validation():
 
 
 def test_simulate_transfer_records_metrics_and_trace():
+    """A transfer records nothing itself; the observer's projection of the
+    :class:`Transfer` it returns writes the comm metrics and event."""
     spec = get_interconnect("network", 8)
     metrics = MetricsRegistry()
     tracer = Tracer()
-    push_metrics(metrics)
-    try:
-        with tracer.span("job", "dist"):
-            t1 = simulate_transfer(spec, 1000, 0, 1)
-            t2 = simulate_transfer(spec, 2000, 0, 4)
-    finally:
-        pop_metrics()
+    obs = observer(tracer, metrics)
+    with tracer.span("job", "dist") as job:
+        t1 = simulate_transfer(spec, 1000, 0, 1)
+        t2 = simulate_transfer(spec, 2000, 0, 4)
+        assert metrics.names() == () and not job.events
+        for step, transfer in enumerate((t1, t2)):
+            obs.record(transfer, span=job, step=step, phase="allgather.a",
+                       retries=0, backoff_seconds=0.0, trace_id="",
+                       ts_ms=0.0)
     assert metrics.counter("comm_transfers_total").value() == 2
     assert metrics.counter("comm_bytes_total").value(tier="nvlink") == 1000
     assert metrics.counter("comm_bytes_total").value(tier="network") == 2000

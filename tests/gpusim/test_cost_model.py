@@ -4,7 +4,7 @@ work and reproduce the overlap/serialization semantics it documents."""
 import pytest
 
 from repro.gpusim.cost_model import CostModel
-from repro.gpusim.executor import simulate_launch
+from repro.gpusim.executor import Launch
 from repro.gpusim.occupancy import compute_occupancy
 from repro.gpusim.specs import KIB, VOLTA_V100
 from repro.gpusim.stats import KernelStats
@@ -94,21 +94,26 @@ class TestSimulate:
 
 
 class TestSimulateLaunch:
+    """:meth:`Launch.execute`, the one simulated launch."""
+
     def test_stamps_launch_shape(self):
-        stats = KernelStats()
-        res = simulate_launch(VOLTA_V100, stats, grid_blocks=100,
-                              block_threads=256, smem_per_block=KIB)
+        launch = Launch(KernelStats(), grid_blocks=100, block_threads=256,
+                        smem_per_block=KIB)
+        res = launch.execute(VOLTA_V100)
+        stats = res.stats
         assert stats.kernel_launches == 1
         assert stats.blocks_launched == 100
         assert stats.warps_launched == 100 * 8
         assert stats.smem_bytes_per_block == KIB
         assert res.seconds > 0
+        assert res.seconds == launch.price(VOLTA_V100).seconds
+        assert launch.stats.kernel_launches == 0  # a copy is stamped
 
     def test_invalid_shape_raises(self):
         from repro.errors import KernelLaunchError
         with pytest.raises(KernelLaunchError):
-            simulate_launch(VOLTA_V100, KernelStats(), grid_blocks=1,
-                            block_threads=4096)
+            Launch(KernelStats(), grid_blocks=1,
+                   block_threads=4096).execute(VOLTA_V100)
 
 
 class TestStatsContainer:

@@ -106,7 +106,7 @@ class TestRegistry:
         class EchoKernel(PairwiseKernel):
             name = "echo_test_kernel"
 
-            def run(self, a, b, semiring):
+            def run(self, a, b, semiring, log=None):
                 from repro.gpusim.stats import KernelStats
                 from repro.kernels.base import KernelResult
                 return KernelResult(KernelStats(), seconds=0.0)

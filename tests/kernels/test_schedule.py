@@ -48,9 +48,13 @@ def _operands(rng, metric):
 def test_price_equals_launch_and_launching_is_repeatable(rng, engine, metric):
     a, b, semiring = _operands(rng, metric)
     schedule = make_engine(engine).schedule(a, b, semiring)
-    first = schedule.execute(VOLTA_V100)
-    second = schedule.execute(VOLTA_V100)
+    log = []
+    first = schedule.execute(VOLTA_V100, log)
+    second = schedule.execute(VOLTA_V100, [])
     assert schedule.price(VOLTA_V100) == first[1]
+    # the launch log holds each launch with its result, in order
+    assert [launch for launch, _ in log] == list(schedule.launches)
+    assert sum(result.seconds for _, result in log) == first[1]
     # launching stamps copies: the schedule itself never accumulates
     assert first[0].as_dict() == second[0].as_dict()
     assert first[1] == second[1]

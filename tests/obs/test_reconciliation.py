@@ -11,15 +11,27 @@ The acceptance bar for the observability layer:
 - a traced :meth:`kneighbors` under fault injection emits a valid Chrome
   trace whose tile/retry/degradation annotations match the
   :class:`KnnQueryReport`, while neighbor results stay bit-identical to a
-  clean run.
+  clean run;
+- one recording path: a plan records its facts from what it delivered, so
+  a 4-worker run writes the serial run's registry and span tree, faulted
+  and aborted runs included, and a distributed run's registry is the same
+  for any worker count.
+
+``CHAOS_SEED`` (env var, default 0) seeds the fault schedules of the
+serial-vs-4-worker tests; CI's chaos job sweeps it.
 """
 
+import ast
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core.pairwise import pairwise_distances
+from repro.errors import ExecutionFaultError
 from repro.faults import FaultInjector, FaultSpec, RecoveryPolicy
 from repro.neighbors.brute_force import NearestNeighbors
 from repro.obs import (
@@ -29,7 +41,9 @@ from repro.obs import (
     to_chrome_trace,
 )
 from repro.plan import DenseBlockConsumer, PlanExecutor, build_pairwise_plan
-from tests.conftest import random_csr, random_dense
+from tests.conftest import random_csr, random_dense, seeded_rng
+
+CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
 #: Budget that cuts the (40, 25) pair into a 3x3 tile grid.
 BUDGET = 600
@@ -330,3 +344,139 @@ def test_dist_faulted_run_reconciles_with_report():
                   for e in doc["traceEvents"]
                   if e.get("name") == "thread_name"}
     assert any(name.startswith("link ") for name in lane_names)
+
+
+# ----------------------------------------------------------------------
+# one recording path: what a run records ignores the worker count
+# ----------------------------------------------------------------------
+
+#: 4-worker repeats per test: thread timing differs between them.
+REPEATS = 20
+
+#: The gauges that model the worker count by design.
+WORKER_GAUGES = ("plan_simulated_seconds", "peak_resident_bytes")
+
+
+class _ConsumerBug(Exception):
+    pass
+
+
+class _FailingConsumer(DenseBlockConsumer):
+    """Raises when it is handed tile 5."""
+
+    def consume(self, tile, payload):
+        if tile.index == 5:
+            raise _ConsumerBug
+        super().consume(tile, payload)
+
+
+def _recorded(n_workers, metric, budget, shape, consumer=None,
+              **executor_kwargs):
+    """One seeded plan's execution (an unabsorbed fault or a consumer
+    error may end it); returns its registry less :data:`WORKER_GAUGES`,
+    its span tree, tracer and registry."""
+    rng = seeded_rng(0)
+    m, n, k = shape
+    a, b = random_csr(rng, m, k, 0.3), random_csr(rng, n, k, 0.3)
+    tracer, metrics = Tracer(), MetricsRegistry()
+    plan = build_pairwise_plan(a, b, metric, memory_budget_bytes=budget)
+    executor = PlanExecutor(plan, n_workers=n_workers, tracer=tracer,
+                            metrics=metrics, **executor_kwargs)
+    try:
+        executor.execute(consumer or DenseBlockConsumer())
+    except (ExecutionFaultError, _ConsumerBug):
+        pass
+    registry = json.loads(metrics.to_json())
+    for name in WORKER_GAUGES:
+        registry.pop(name, None)
+    return registry, tracer.span_tree(), tracer, metrics
+
+
+@pytest.mark.parametrize("faulted", [False, True], ids=["clean", "faulted"])
+def test_threaded_plan_records_what_the_serial_run_records(faulted):
+    """A 13-tile plan at 4 workers writes the serial run's registry (less
+    the worker-count gauges) and span tree on every repeat; the faulted
+    schedule retries, splits two tiles and degrades one."""
+    def run(n_workers):
+        if not faulted:
+            return _recorded(n_workers, "euclidean", 4000, (120, 90, 60))
+        injector = FaultInjector((FaultSpec("transient", probability=0.3),
+                                  FaultSpec("oom", tiles=(2, 7)),
+                                  FaultSpec("capacity", tiles=(4,))),
+                                 seed=CHAOS_SEED)
+        return _recorded(n_workers, "manhattan", 4000, (120, 90, 60),
+                         recovery=RecoveryPolicy(), fault_injector=injector)
+
+    serial = run(1)
+    metrics = serial[3]
+    assert metrics.counter("tiles_executed").value() == 13
+    if faulted:
+        assert metrics.counter("retries_total").value() > 0
+        assert metrics.counter("tile_splits_total").value() == 2
+        assert metrics.counter("degraded_tiles_total").value() == 1
+    for _ in range(REPEATS):
+        registry, tree, _, _ = run(4)
+        assert registry == serial[0]
+        assert tree == serial[1]
+
+
+@pytest.mark.parametrize("cause", ["fault", "consumer"])
+def test_aborted_threaded_plan_records_only_the_delivered_prefix(cause):
+    """A 9-tile plan stopped at tile 5 records tiles 0-4 and tile 5, at 4
+    workers too, although workers were still running tiles past it: an
+    unabsorbed OOM stops tile 5 before its launches, a consumer error
+    after tile 5 reached the consumer."""
+    def run(n_workers):
+        if cause == "consumer":
+            return _recorded(n_workers, "euclidean", BUDGET, (40, 25, 30),
+                             consumer=_FailingConsumer())
+        injector = FaultInjector((FaultSpec("oom", tiles=(5,)),),
+                                 seed=CHAOS_SEED)
+        return _recorded(n_workers, "euclidean", BUDGET, (40, 25, 30),
+                         fault_injector=injector)
+
+    launches = 10 if cause == "fault" else 12  # a kernel and an epilogue
+    serial = run(1)
+    assert len(serial[2].spans_by_category("tile")) == 6
+    assert serial[3].counter("kernel_launches_total").value() == launches
+    for _ in range(REPEATS):
+        registry, tree, tracer, metrics = run(4)
+        assert tree == serial[1]
+        assert len(tracer.spans_by_category("tile")) == 6
+        assert metrics.counter("kernel_launches_total").value() == launches
+        assert registry == serial[0]
+
+
+def test_dist_registry_is_identical_for_any_worker_count():
+    """Device plans' facts go into the executor's registry in flat device
+    order, so threaded lanes write the serial registry byte for byte."""
+    def registry(n_workers):
+        metrics = MetricsRegistry()
+        _dist_execute(None, metrics, n_workers=n_workers)
+        return metrics.to_json()
+
+    serial = registry(1)
+    assert json.loads(serial)["plans_executed"]["series"][0]["value"] == 4
+    for _ in range(REPEATS):
+        assert registry(4) == serial
+
+
+def test_simulated_device_and_kernels_import_no_observability():
+    """Launches and transfers return what they did and the observer
+    records it: nothing under gpusim/ or kernels/ imports repro.obs."""
+    src = Path(repro.__file__).parent
+    offenders = []
+    for package in ("gpusim", "kernels"):
+        for path in sorted((src / package).glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [("repro." if node.level else "")
+                             + (node.module or "")]
+                else:
+                    continue
+                offenders += [f"{package}/{path.name}: {name}"
+                              for name in names
+                              if name.split(".")[:2] == ["repro", "obs"]]
+    assert offenders == []

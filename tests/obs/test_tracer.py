@@ -11,9 +11,6 @@ from repro.obs.tracer import (
     NullTracer,
     Tracer,
     canonical_trees_equal,
-    current_metrics,
-    current_span,
-    current_tracer,
     get_default_tracer,
     set_default_tracer,
 )
@@ -25,14 +22,14 @@ OBS_FILES = ("tracer.py", "metrics.py", "chrome_trace.py")
 def test_span_nesting_follows_thread_stack():
     tracer = Tracer()
     with tracer.span("outer", "plan") as outer:
-        assert current_span() is outer
-        assert current_tracer() is tracer
         with tracer.span("inner", "kernel") as inner:
             assert inner.parent is outer
-            assert current_span() is inner
-    assert current_span() is None
-    assert tracer.roots == [outer]
-    assert outer.children == [inner]
+        with tracer.span("sibling", "kernel") as sibling:
+            assert sibling.parent is outer  # inner was popped on exit
+    with tracer.span("after", "plan") as after:
+        assert after.parent is None  # the stack is empty again
+    assert tracer.roots == [outer, after]
+    assert outer.children == [inner, sibling]
 
 
 def test_explicit_parent_wins_across_threads():
@@ -55,7 +52,7 @@ def test_span_annotations_and_events():
     with tracer.span("s", "tile", tile=3) as span:
         span.annotate(retries=1).set_sim_seconds(0.5).add_sim_seconds(0.25)
         span.event("retried", "fault", 0.1, kind="transient")
-        tracer.event("note", "note")  # attaches to the open span
+        span.event("note", "note")
     assert span.args["retries"] == 1
     assert span.sim_seconds == 0.75
     assert [e.name for e in span.events] == ["retried", "note"]
@@ -72,6 +69,12 @@ def test_error_exit_marks_span():
     (span,) = tracer.spans_named("boom")
     assert span.status == "error"
     assert span.args["error"] == "ValueError"
+    # a span recorded after the fact is failed explicitly, the same way
+    with tracer.span("later", "kernel") as later:
+        pass
+    assert later.fail(KeyError) is later
+    assert (later.status, later.args["error"]) == ("error", "KeyError")
+    assert NULL_SPAN.fail(KeyError) is NULL_SPAN
 
 
 def test_span_tree_canonicalizes_sibling_order():
@@ -136,10 +139,8 @@ def test_disabled_path_allocates_nothing_per_tile(rng):
         pairwise_distances(a, b, metric="euclidean",
                            memory_budget_bytes=budget)
 
-    # Warm up: per-thread _TLS dict init, import-time caches, etc.
+    # Warm up: import-time caches, etc.
     run(None)
-    current_tracer()
-    current_metrics()
 
     tracemalloc.start()
     try:
@@ -228,7 +229,6 @@ def test_trace_context_survives_shielding():
     with trace_context("req-123"):
         with tracer.span("outer", "plan"):
             with shielded_trace_context():
-                assert current_span() is None  # parentage hidden
                 with tracer.span("inner", "kernel") as inner:
                     assert inner.parent is None
                     assert inner.args["trace_id"] == "req-123"
