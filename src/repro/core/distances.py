@@ -30,6 +30,7 @@ import numpy as np
 from repro.core.monoid import MAX
 from repro.core.semiring import Semiring, dot_product_semiring, namm_semiring
 from repro.errors import UnknownDistanceError
+from repro.workspace import scratch
 
 __all__ = [
     "DistanceMeasure",
@@ -86,7 +87,9 @@ class DistanceMeasure:
 
     def apply_expansion(self, dot: np.ndarray, norms_a: Mapping[str, np.ndarray],
                         norms_b: Mapping[str, np.ndarray], k: int) -> np.ndarray:
-        """Combine the dot-product block with row norms (expanded measures)."""
+        """Combine the dot-product block with row norms (expanded measures).
+
+        The expansion may write its result over ``dot`` and return it."""
         if self.expansion is None:
             raise ValueError(f"{self.name} has no expansion function")
         return self.expansion(np.asarray(dot, dtype=np.float64),
@@ -120,19 +123,26 @@ def _expand_dot(dot, na, nb, k):
 def _expand_cosine(dot, na, nb, k):
     la = np.asarray(na["l2"], dtype=np.float64)
     lb = np.asarray(nb["l2"], dtype=np.float64)
-    denom = np.multiply(la[:, None], lb[None, :])
-    # One output buffer: the similarity, 0 where it is undefined (a zero
-    # or NaN denominator), then the distance in place.
-    out = np.zeros_like(dot)
-    np.divide(dot, denom, out=out, where=denom > _EPS)
-    np.subtract(1.0, out, out=out)
+    denom = np.multiply(la[:, None], lb[None, :],
+                        out=scratch("cosine.denom", dot.shape))
+    # In place over dot. Where the similarity is undefined (a zero or NaN
+    # denominator) the distance is 1: those cells divide by 1, which sets
+    # no floating-point flag, and are then overwritten. A masked divide
+    # gives the same bits and warnings several times slower.
+    undefined = np.greater(denom, _EPS, out=scratch("cosine.mask", dot.shape,
+                                                    np.bool_))
+    np.logical_not(undefined, out=undefined)
+    np.putmask(denom, undefined, 1.0)
+    np.divide(dot, denom, out=dot)
+    np.subtract(1.0, dot, out=dot)
+    np.putmask(dot, undefined, 1.0)
     # d(x, x) = 0 must hold even for empty vectors: both-zero pairs get 0;
     # empty-vs-nonempty keeps the maximal distance 1.
     zero_a = np.flatnonzero(la <= _EPS)
     if zero_a.size:
-        out[np.ix_(zero_a, np.flatnonzero(lb <= _EPS))] = 0.0
-    np.clip(out, 0.0, 2.0, out=out)
-    return out
+        dot[np.ix_(zero_a, np.flatnonzero(lb <= _EPS))] = 0.0
+    np.clip(dot, 0.0, 2.0, out=dot)
+    return dot
 
 
 def _expand_euclidean(dot, na, nb, k):

@@ -65,10 +65,11 @@ class KernelStats:
            preserved must :meth:`copy` first —
            ``KernelStats().merge(a).merge(b)`` is the non-destructive form.
         """
+        mine, theirs = self.__dict__, other.__dict__
         for name in _ADDITIVE:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
+            mine[name] += theirs[name]
         for name in _PEAK:
-            setattr(self, name, max(getattr(self, name), getattr(other, name)))
+            mine[name] = max(mine[name], theirs[name])
         return self
 
     def copy(self) -> "KernelStats":

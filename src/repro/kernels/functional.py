@@ -24,6 +24,8 @@ harmless under idempotence.
 bands** of at most :data:`_BAND_CELLS` cells, so a consumer that reduces
 each band (top-k selection) never holds the whole block. Bands are a host
 evaluation order only: every cell is summed exactly as in the whole block.
+Each band is built in a :mod:`repro.workspace` buffer that the thread's
+next band reuses.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from repro.core.semiring import Semiring
 from repro.errors import SemiringError
 from repro.sparse.csr import CSRMatrix
+from repro.workspace import MAX_CELLS, scratch
 
 __all__ = [
     "intersection_block",
@@ -56,9 +59,10 @@ _CHUNK_ELEMENTS = 1 << 22
 _BLOCK_ELEMENTS = 1 << 16
 
 #: Output cells per row band handed to a :func:`semiring_block` sink (a
-#: band holds one row at least). A band starts at a row boundary, so it
-#: too never changes the summation order.
-_BAND_CELLS = 1 << 17
+#: band holds one row at least), so that a band fits one workspace buffer.
+#: A band starts at a row boundary, so it too never changes the summation
+#: order.
+_BAND_CELLS = MAX_CELLS
 
 #: Rows of the staged side densified at once by the idempotent union sweeps.
 _ROW_BATCH = 64
@@ -147,12 +151,15 @@ Band = Tuple[int, int, np.ndarray]
 
 
 def _intersection_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
-                        op: Callable, band_rows: int) -> Iterator[Band]:
+                        op: Callable, band_rows: int,
+                        reuse: bool = False) -> Iterator[Band]:
     """The intersection block, ``band_rows`` rows at a time.
 
     Each row block reduces into its own band's rows only: ⊕ = + adds the
-    block's ``bincount`` to them, max/min fold in element order. A
-    zero-row ``a`` gives one empty band.
+    block's ``bincount`` to them (so a chunk-split row still sums as
+    ``(0 + p1) + p2``), max/min fold in element order. With ``reuse``,
+    every band is built in this thread's workspace buffer, which the next
+    band overwrites. A zero-row ``a`` gives one empty band.
     """
     reduce_name = semiring.reduce.name
     if reduce_name != "plus" and reduce_name not in _IDEMPOTENT_UFUNCS:
@@ -162,8 +169,9 @@ def _intersection_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
     block = next(blocks, None)
     for r0 in range(0, max(a.n_rows, 1), band_rows):
         r1 = min(r0 + band_rows, a.n_rows)
-        band = np.full((r1 - r0, b.n_rows), semiring.reduce.identity,
-                       dtype=np.float64)
+        shape = (r1 - r0, b.n_rows)
+        band = scratch("band", shape) if reuse else np.empty(shape)
+        band.fill(semiring.reduce.identity)
         while block is not None and block[0] < r1:
             s0, s1, cells, a_vals, b_vals = block
             prods = np.asarray(op(a_vals, b_vals), dtype=np.float64)
@@ -199,7 +207,7 @@ def co_occurrence_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
 
 
 def _union_sum_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
-                     band_rows: int) -> Iterator[Band]:
+                     band_rows: int, reuse: bool = False) -> Iterator[Band]:
     """The ⊕ = + union block by Eq. 3, ``band_rows`` rows at a time: the
     corrected intersection plus both side sums, computed once per call."""
     op = semiring.product
@@ -212,7 +220,7 @@ def _union_sum_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
     ra = _row_side_sums(a, lambda v: op(v, np.zeros_like(v)))
     rb = _row_side_sums(b, lambda v: op(np.zeros_like(v), v))
     for r0, r1, band in _intersection_bands(a, b, semiring, corrected,
-                                            band_rows):
+                                            band_rows, reuse):
         band += ra[r0:r1, None]
         band += rb[None, :]
         yield r0, r1, band
@@ -294,20 +302,24 @@ def semiring_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
                    ) -> Optional[np.ndarray]:
     """Dispatch to intersection or union per the semiring's annihilation.
 
-    Without ``sink``, returns the ``(a.n_rows, b.n_rows)`` block. With one,
-    calls ``sink(r0, r1, rows)`` for consecutive row bands of at most
-    :data:`_BAND_CELLS` cells (one row at least), in row order, and
-    returns None. ``rows`` equals ``block[r0:r1]`` bit for bit and belongs
-    to the sink. The ⊕ = max/min union, whose two sweeps each cover every
-    row, hands over its block as one band.
+    Without ``sink``, returns the ``(a.n_rows, b.n_rows)`` block, a fresh
+    array. With one, calls ``sink(r0, r1, rows)`` for consecutive row
+    bands of at most :data:`_BAND_CELLS` cells (one row at least), in row
+    order, and returns None. ``rows`` equals ``block[r0:r1]`` bit for bit;
+    the sink may overwrite it, but it is valid only until the sink
+    returns, because the next band (or the next call on this thread)
+    reuses its buffer, so copy it to keep it. The ⊕ = max/min union,
+    whose two sweeps each cover every row, hands over its block as one
+    band.
     """
-    band_rows = (max(a.n_rows, 1) if sink is None
-                 else max(1, _BAND_CELLS // max(b.n_rows, 1)))
+    reuse = sink is not None
+    band_rows = (max(1, _BAND_CELLS // max(b.n_rows, 1)) if reuse
+                 else max(a.n_rows, 1))
     if semiring.is_annihilating:
         bands = _intersection_bands(a, b, semiring, semiring.product,
-                                    band_rows)
+                                    band_rows, reuse)
     elif semiring.reduce.name == "plus":
-        bands = _union_sum_bands(a, b, semiring, band_rows)
+        bands = _union_sum_bands(a, b, semiring, band_rows, reuse)
     else:
         bands = iter([(0, a.n_rows, union_block(a, b, semiring))])
     if sink is None:

@@ -13,6 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
+from repro.workspace import scratch
+
 __all__ = ["select_topk", "suppress_pairs", "TopKAccumulator",
            "SUPPRESSED_ID"]
 
@@ -34,6 +36,8 @@ def select_topk(distances: np.ndarray, k: int,
     strictly below the row's k-th smallest key is kept, then the
     lowest-index entries equal to it. The picks do not depend on how the
     columns were split, so a shard or tile merge selects the same ids.
+    ``distances`` is only read; the partition copy and the masks live in
+    this thread's workspace.
     """
     distances = np.asarray(distances, dtype=np.float64)
     if distances.ndim != 2:
@@ -45,9 +49,14 @@ def select_topk(distances: np.ndarray, k: int,
     if k == 0:
         return np.empty((n_rows, 0)), np.empty((n_rows, 0), dtype=np.int64)
     keyed = distances if ascending else -distances
-    kth = np.partition(keyed, k - 1, axis=1)[:, [k - 1]]
-    keep = keyed < kth
-    tied = keyed == kth
+    part = scratch("topk.partition", keyed.shape)
+    np.copyto(part, keyed)
+    part.partition(k - 1, axis=1)
+    kth = part[:, [k - 1]]
+    keep = np.less(keyed, kth, out=scratch("topk.keep", keyed.shape,
+                                           np.bool_))
+    tied = np.equal(keyed, kth, out=scratch("topk.tied", keyed.shape,
+                                            np.bool_))
     # A NaN k-th key (it sorts last) keeps every number and ties the NaNs.
     nan_rows = np.flatnonzero(np.isnan(kth))
     if nan_rows.size:
@@ -152,13 +161,6 @@ class TopKAccumulator:
         if values.shape[1] == 0:
             return
         self._merge(values, indices)
-
-    @property
-    def candidates(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The ``(values, ids)`` held now, at most ``k`` per row and in no
-        particular order: what another accumulator's :meth:`update_pairs`
-        merges."""
-        return self._values, self._indices
 
     def _merge(self, val: np.ndarray, idx: np.ndarray) -> None:
         self._values = np.concatenate([self._values, val], axis=1)

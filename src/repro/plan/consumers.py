@@ -36,9 +36,11 @@ class TileSink:
     The executor calls the sink with each band ``(r0, r1, rows)`` — tile
     rows ``[r0, r1)``, every column, expansion/finalize applied — in row
     order on the tile's worker, then hands :meth:`payload` to
-    :meth:`TileConsumer.consume`. A sink holds this tile's state only, so
-    a tile that is computed but never delivered folds nothing. This one
-    fills the dense ``(tile.rows_a, tile.rows_b)`` block.
+    :meth:`TileConsumer.consume`. ``rows`` is valid only until the call
+    returns: the worker's next band reuses its buffer, so a sink copies
+    what it keeps. A sink holds this tile's state only, so a tile that is
+    computed but never delivered folds nothing. This one copies each band
+    into the dense ``(tile.rows_a, tile.rows_b)`` block.
     """
 
     def __init__(self, tile: Tile):
@@ -73,7 +75,9 @@ class TileConsumer(abc.ABC):
     def tile_sink(self, tile: Tile) -> TileSink:
         """A fresh sink for one tile's bands; called on the tile's worker,
         so it may read the consumer's configuration but not its folded
-        state. The default payload is the dense distance block."""
+        state. Each band it receives is reused once the sink returns, so
+        the sink copies what it keeps. The default payload is the dense
+        distance block."""
         return TileSink(tile)
 
     @abc.abstractmethod
@@ -123,11 +127,11 @@ class _TopKSink(TileSink):
         self._indices = np.empty((tile.rows_a, kk), dtype=np.int64)
 
     def __call__(self, r0: int, r1: int, rows: np.ndarray) -> None:
-        from repro.neighbors.topk import TopKAccumulator
+        from repro.neighbors.topk import select_topk
 
-        band = TopKAccumulator(r1 - r0, self._k)
-        band.update(rows, self._b0)
-        self._values[r0:r1], self._indices[r0:r1] = band.candidates
+        values, indices = select_topk(rows, self._k)
+        self._values[r0:r1] = values
+        self._indices[r0:r1] = indices + self._b0
 
     def payload(self) -> Tuple[np.ndarray, np.ndarray]:
         return self._values, self._indices

@@ -1,6 +1,8 @@
 """Distance catalogue tests: every Table-1 measure against the dense oracle,
 plus metric-space properties and edge cases."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -211,13 +213,20 @@ def _expand_cosine_five_temporaries(dot, na, nb, k):
 
 
 class TestCosineEpilogue:
-    """The one-buffer cosine expansion equals the five-temporary one bit
-    for bit, NaN in the same cells, on degenerate norms and dots."""
+    """The in-place cosine expansion equals the five-temporary one bit
+    for bit, NaN in the same cells, with the same warnings, on degenerate
+    norms and dots."""
 
     SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-301,
                          5e-324, 1e300])
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @staticmethod
+    def _expand(fn, dot, norms):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = fn(dot.copy(), *norms, 5)
+        return out, sorted(str(w.message) for w in caught)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_bitwise_equal_to_five_temporaries(self, seed):
         rng = np.random.default_rng([7, seed])
@@ -231,8 +240,11 @@ class TestCosineEpilogue:
         dot = rng.normal(size=(m, n)) * 2.0
         special = rng.random((m, n)) < 0.2
         dot[special] = rng.choice(self.SPECIALS, int(special.sum()))
-        want = _expand_cosine_five_temporaries(dot.copy(), *norms, 5)
-        got = make_distance("cosine").apply_expansion(dot.copy(), *norms, 5)
+        want, want_warnings = self._expand(_expand_cosine_five_temporaries,
+                                           dot, norms)
+        got, got_warnings = self._expand(
+            make_distance("cosine").apply_expansion, dot, norms)
+        assert got_warnings == want_warnings
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
         np.testing.assert_array_equal(got[~nan].view(np.int64),

@@ -1,5 +1,8 @@
 """Plan execution: determinism, tiling exactness, consumers, satellites."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -15,9 +18,11 @@ from repro.plan import (
     CallbackConsumer,
     DenseBlockConsumer,
     PlanExecutor,
+    TileConsumer,
     TopKConsumer,
     build_pairwise_plan,
 )
+from repro.plan.consumers import TileSink
 from tests.conftest import random_csr, random_dense
 
 #: Small enough to force several tiles on the fixture matrices while still
@@ -140,6 +145,26 @@ class TestBandedTopK:
         self._assert_equals_dense(x, metric, dist, idx)
 
     @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_cosine_with_all_zero_rows(self, rng, n_workers):
+        """The in-place cosine expansion keeps d = 0 between empty rows
+        (and 1 to the others) in every band, on every worker."""
+        x = self._binary(rng)
+        empty = [1, 2, 4, 13, 14, 22, 29]
+        x[empty] = 0.0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the workers' bands
+        try:
+            nn = NearestNeighbors(n_neighbors=self.K, metric="cosine",
+                                  batch_rows=7, n_workers=n_workers).fit(x)
+            dist, idx = nn.kneighbors()
+        finally:
+            sys.setswitchinterval(interval)
+        self._assert_equals_dense(x, "cosine", dist, idx)
+        assert np.array_equal(dist[empty], np.zeros((len(empty), self.K)))
+        assert np.array_equal(idx[empty], np.tile(empty[:self.K],
+                                                  (len(empty), 1)))
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
     def test_absorbed_oom_split(self, rng, n_workers):
         x = self._binary(rng)
         nn = NearestNeighbors(
@@ -170,6 +195,62 @@ class TestBandedTopK:
         dist, idx = PlanExecutor(plan()).execute(
             consumer, resume_from=exc_info.value.watermark).value
         self._assert_equals_dense(x, "manhattan", dist, idx)
+
+
+class _KeepBands(TileSink):
+    """Keeps every band it is handed, not a copy."""
+
+    def __init__(self, kept):
+        self._kept = kept
+
+    def __call__(self, r0, r1, rows):
+        self._kept.append(rows)
+
+    def payload(self):
+        return None
+
+
+class _BandRecorder(TileConsumer):
+    def __init__(self):
+        self.bands = []
+
+    def tile_sink(self, tile):
+        return _KeepBands(self.bands)
+
+    def consume(self, tile, payload):
+        pass
+
+
+class TestBandWorkspace:
+    """A thread builds every band it computes in one reused buffer, so a
+    band is valid only until its sink returns; another thread has its
+    own buffer."""
+
+    @pytest.fixture(autouse=True)
+    def small_bands(self, monkeypatch):
+        monkeypatch.setattr(functional, "_BAND_CELLS", 24)
+
+    def test_bands_and_tiles_reuse_one_buffer_per_thread(self, rng):
+        x = (rng.random((30, 12)) < 0.3).astype(float)
+        plan = build_pairwise_plan(x, None, "cosine", max_tile_rows_b=7)
+        here = _BandRecorder()
+        PlanExecutor(plan).execute(here)
+        assert plan.grid.n_tiles > 1
+        assert len(here.bands) > plan.grid.n_tiles
+        assert all(np.shares_memory(band, here.bands[0])
+                   for band in here.bands)
+
+        there = _BandRecorder()
+        worker = threading.Thread(target=PlanExecutor(plan).execute,
+                                  args=(there,))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert len(there.bands) == len(here.bands)
+        assert all(np.shares_memory(band, there.bands[0])
+                   for band in there.bands)
+        assert not any(np.shares_memory(band, here.bands[0])
+                       for band in there.bands)
 
 
 class TestConsumers:
