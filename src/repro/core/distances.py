@@ -120,27 +120,35 @@ def _expand_dot(dot, na, nb, k):
     return dot
 
 
+def _one_minus_ratio(num, den, norm_a, norm_b):
+    """``1 - num / den`` in place over ``num``, which it returns; ``den``
+    is scratch and is overwritten.
+
+    Where the ratio is undefined (a zero or NaN denominator) the distance
+    is 1: those cells divide by 1, which sets no floating-point flag, and
+    are then overwritten. A masked divide gives the same bits and warnings
+    several times slower. d(x, x) = 0 must hold even for empty vectors:
+    pairs whose norms are both zero get 0; empty-vs-nonempty keeps 1.
+    """
+    undefined = np.greater(den, _EPS, out=scratch("ratio.mask", num.shape,
+                                                  np.bool_))
+    np.logical_not(undefined, out=undefined)
+    np.putmask(den, undefined, 1.0)
+    np.divide(num, den, out=num)
+    np.subtract(1.0, num, out=num)
+    np.putmask(num, undefined, 1.0)
+    zero_a = np.flatnonzero(norm_a <= _EPS)
+    if zero_a.size:
+        num[np.ix_(zero_a, np.flatnonzero(norm_b <= _EPS))] = 0.0
+    return num
+
+
 def _expand_cosine(dot, na, nb, k):
     la = np.asarray(na["l2"], dtype=np.float64)
     lb = np.asarray(nb["l2"], dtype=np.float64)
     denom = np.multiply(la[:, None], lb[None, :],
-                        out=scratch("cosine.denom", dot.shape))
-    # In place over dot. Where the similarity is undefined (a zero or NaN
-    # denominator) the distance is 1: those cells divide by 1, which sets
-    # no floating-point flag, and are then overwritten. A masked divide
-    # gives the same bits and warnings several times slower.
-    undefined = np.greater(denom, _EPS, out=scratch("cosine.mask", dot.shape,
-                                                    np.bool_))
-    np.logical_not(undefined, out=undefined)
-    np.putmask(denom, undefined, 1.0)
-    np.divide(dot, denom, out=dot)
-    np.subtract(1.0, dot, out=dot)
-    np.putmask(dot, undefined, 1.0)
-    # d(x, x) = 0 must hold even for empty vectors: both-zero pairs get 0;
-    # empty-vs-nonempty keeps the maximal distance 1.
-    zero_a = np.flatnonzero(la <= _EPS)
-    if zero_a.size:
-        dot[np.ix_(zero_a, np.flatnonzero(lb <= _EPS))] = 0.0
+                        out=scratch("ratio.den", dot.shape))
+    _one_minus_ratio(dot, denom, la, lb)
     np.clip(dot, 0.0, 2.0, out=dot)
     return dot
 
@@ -191,25 +199,21 @@ def _expand_correlation(dot, na, nb, k):
 
 
 def _expand_dice(dot, na, nb, k):
-    denom = _col(na["l0"]) + _row(nb["l0"])
-    out = np.zeros_like(dot)
-    nz = denom > _EPS
-    np.divide(2.0 * dot, denom, out=out, where=nz)
-    out = 1.0 - out
-    both_zero = (_col(na["l0"]) <= _EPS) & (_row(nb["l0"]) <= _EPS)
-    out[both_zero] = 0.0
-    return out
+    la = np.asarray(na["l0"], dtype=np.float64)
+    lb = np.asarray(nb["l0"], dtype=np.float64)
+    denom = np.add(la[:, None], lb[None, :],
+                   out=scratch("ratio.den", dot.shape))
+    np.multiply(2.0, dot, out=dot)
+    return _one_minus_ratio(dot, denom, la, lb)
 
 
 def _expand_jaccard(dot, na, nb, k):
-    union = _col(na["l0"]) + _row(nb["l0"]) - dot
-    out = np.zeros_like(dot)
-    nz = union > _EPS
-    np.divide(dot, union, out=out, where=nz)
-    out = 1.0 - out
-    both_zero = (_col(na["l0"]) <= _EPS) & (_row(nb["l0"]) <= _EPS)
-    out[both_zero] = 0.0
-    return out
+    la = np.asarray(na["l0"], dtype=np.float64)
+    lb = np.asarray(nb["l0"], dtype=np.float64)
+    union = np.add(la[:, None], lb[None, :],
+                   out=scratch("ratio.den", dot.shape))
+    np.subtract(union, dot, out=union)
+    return _one_minus_ratio(dot, union, la, lb)
 
 
 def _expand_russellrao(dot, na, nb, k):

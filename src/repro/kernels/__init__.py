@@ -32,12 +32,7 @@ from repro.kernels.engine import (
     unregister_engine,
 )
 from repro.kernels.expand_sort_contract import ExpandSortContractKernel
-from repro.kernels.functional import (
-    co_occurrence_counts,
-    intersection_block,
-    semiring_block,
-    union_block,
-)
+from repro.kernels.functional import co_occurrence_counts, semiring_block
 from repro.kernels.hash_table import BlockHashTable, murmur_hash_32
 from repro.kernels.host import HostKernel
 from repro.kernels.merge_path import MergePathKernel, SweepProfile
@@ -68,8 +63,6 @@ __all__ = [
     "choose_strategy",
     "plan_partitions",
     "stage_row_partitioned",
-    "intersection_block",
-    "union_block",
     "semiring_block",
     "co_occurrence_counts",
     "product_cost_profile",

@@ -21,8 +21,6 @@ against the naive alternatives.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -80,43 +78,28 @@ def _total_intersections(a: CSRMatrix, b: CSRMatrix) -> float:
     return float(np.dot(ca.astype(np.float64), cb.astype(np.float64)))
 
 
-#: stream costs by (kind, :func:`_stream_key`); see :func:`_stream_cost`
-_STREAM_COSTS: "OrderedDict[tuple, float]" = OrderedDict()
-_STREAM_COSTS_MAX = 64
-_STREAM_COSTS_LOCK = threading.Lock()
-
-
-def _stream_key(streamed: CSRMatrix, spec: DeviceSpec) -> tuple:
-    """A digest of the operand's sparsity structure, plus the device
-    parameters its stream costs depend on."""
-    return streamed.structure_digest(), spec.warp_size, spec.smem_banks
-
-
-def _stream_cost(kind: str, key: tuple, streamed: CSRMatrix,
-                 spec: DeviceSpec,
+def _stream_cost(kind: str, streamed: CSRMatrix, spec: DeviceSpec,
                  count: Callable[[CSRMatrix, DeviceSpec], float]) -> float:
-    """``count(streamed, spec)``, cached under ``key`` (its
-    :func:`_stream_key`).
+    """``count(streamed, spec)``, memoized on ``streamed`` itself.
 
     A pass derives its bank conflicts and segment-leader atomics from the
     streamed operand alone, and a resident corpus is streamed by every
-    query batch: keyed by a fingerprint of its sparsity structure, it is
-    counted once, not once per batch. The value is an immutable float and
-    a pure function of the key, so a hit returns exactly what a recount
-    would, and sharing the cache across callers and tile workers changes
-    host time only; it holds digests, never the operands themselves.
+    query batch as the same :class:`CSRMatrix`: kept on that object under
+    ``(kind, warp size, bank count)``, it is counted once, not once per
+    batch. The memo is created by the first count, as the transpose is
+    built by the first call; a matrix made from another (a slice, copy or
+    transpose) starts without one, so an equal structure held by another
+    object is counted again. A hit returns the float a recount gives. Two
+    threads may count at once; both get the same float, so that race is
+    harmless.
     """
-    key = (kind, *key)
-    with _STREAM_COSTS_LOCK:
-        if key in _STREAM_COSTS:
-            _STREAM_COSTS.move_to_end(key)
-            return _STREAM_COSTS[key]
-    value = count(streamed, spec)
-    with _STREAM_COSTS_LOCK:
-        _STREAM_COSTS[key] = value
-        if len(_STREAM_COSTS) > _STREAM_COSTS_MAX:
-            _STREAM_COSTS.popitem(last=False)
-    return value
+    memo = streamed._stream_costs
+    if memo is None:
+        memo = streamed._stream_costs = {}
+    key = (kind, spec.warp_size, spec.smem_banks)
+    if key not in memo:
+        memo[key] = count(streamed, spec)
+    return memo[key]
 
 
 class LoadBalancedCooKernel(PairwiseKernel):
@@ -205,7 +188,6 @@ class LoadBalancedCooKernel(PairwiseKernel):
                     else self._bloom_bits() // 8)
 
         nnz_s = streamed.nnz
-        stream_key = _stream_key(streamed, spec)
         total_hits = _total_intersections(staged, streamed)
         hit_rate = total_hits / max(1.0, float(staged.n_rows) * nnz_s)
 
@@ -235,9 +217,8 @@ class LoadBalancedCooKernel(PairwiseKernel):
             coalesced_transactions(nnz_s, itemsize=4) * 3)  # row, col, val
         if strategy is RowCacheStrategy.DENSE:
             stats.smem_accesses += lookups
-            stats.bank_conflicts += _stream_cost(
-                "bank_conflicts", stream_key, streamed, spec,
-                _sample_bank_conflicts) * n_blocks
+            stats.bank_conflicts += n_blocks * _stream_cost(
+                "bank_conflicts", streamed, spec, _sample_bank_conflicts)
         elif strategy is RowCacheStrategy.HASH:
             stats.smem_accesses += lookups
             stats.probe_steps += lookups * mean_probe_lookup
@@ -265,7 +246,7 @@ class LoadBalancedCooKernel(PairwiseKernel):
         # Segment-leader atomics: exactly one per (warp, streamed row) pair
         # — every block sees the same stream, so count once and multiply.
         stats.atomics += n_blocks * _stream_cost(
-            "atomics", stream_key, streamed, spec, _atomics_per_block)
+            "atomics", streamed, spec, _atomics_per_block)
 
         # Our primitive's device workspace is nnz(B) (paper §4.3).
         stats.workspace_bytes = max(stats.workspace_bytes, nnz_s * 4.0)

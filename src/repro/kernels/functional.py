@@ -1,13 +1,12 @@
 """Numerically-exact semiring block computation (shared kernel math).
 
 Every execution strategy in this package produces the same numbers — they
-differ in *schedule*, which is what their :class:`KernelStats` capture. The
-routines here are the shared, vectorized host implementations of that math:
-
-- :func:`intersection_block` — ⊕ over ``cols(a_i) ∩ cols(b_j)`` of
-  ``⊗(a, b)``; the annihilating (dot-product-family) case.
-- :func:`union_block` — ⊕ over the full nonzero union; the NAMM case,
-  realized exactly as the paper's Eq. 3 decomposition.
+differ in *schedule*, which is what their :class:`KernelStats` capture.
+:func:`semiring_block` is the shared, vectorized host implementation of
+that math. It reduces ⊗ with ⊕ over ``cols(a_i) ∩ cols(b_j)`` when ⊗
+annihilates (the dot-product family), and over the full nonzero union
+otherwise (the NAMM case, realized exactly as the paper's Eq. 3
+decomposition).
 
 For ⊕ = + the union decomposes algebraically:
 
@@ -20,12 +19,11 @@ row dense, exactly like the kernel's shared-memory pass — give the union
 without exclusion bookkeeping, because re-reducing the intersection is
 harmless under idempotence.
 
-:func:`semiring_block` can also hand its output to a sink in **row
-bands** of at most :data:`_BAND_CELLS` cells, so a consumer that reduces
-each band (top-k selection) never holds the whole block. Bands are a host
-evaluation order only: every cell is summed exactly as in the whole block.
-Each band is built in a :mod:`repro.workspace` buffer that the thread's
-next band reuses.
+The block reaches a sink in **row bands** of at most :data:`_BAND_CELLS`
+cells, so a consumer that reduces each band (top-k selection) never holds
+the whole block. Bands are a host evaluation order only: every cell is
+summed exactly as in one band. Each band is built in a
+:mod:`repro.workspace` buffer that the thread's next band reuses.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ from repro.sparse.csr import CSRMatrix
 from repro.workspace import MAX_CELLS, scratch
 
 __all__ = [
-    "intersection_block",
-    "union_block",
     "semiring_block",
     "co_occurrence_counts",
     "gather_intersections",
@@ -151,26 +147,21 @@ Band = Tuple[int, int, np.ndarray]
 
 
 def _intersection_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
-                        op: Callable, band_rows: int,
-                        reuse: bool = False) -> Iterator[Band]:
+                        op: Callable, band_rows: int) -> Iterator[Band]:
     """The intersection block, ``band_rows`` rows at a time.
 
     Each row block reduces into its own band's rows only: ⊕ = + adds the
     block's ``bincount`` to them (so a chunk-split row still sums as
-    ``(0 + p1) + p2``), max/min fold in element order. With ``reuse``,
-    every band is built in this thread's workspace buffer, which the next
-    band overwrites. A zero-row ``a`` gives one empty band.
+    ``(0 + p1) + p2``), max/min fold in element order. Every band is built
+    in this thread's workspace buffer, which the next band overwrites. A
+    zero-row ``a`` gives one empty band.
     """
     reduce_name = semiring.reduce.name
-    if reduce_name != "plus" and reduce_name not in _IDEMPOTENT_UFUNCS:
-        raise SemiringError(
-            f"unsupported reduce monoid {reduce_name!r} for block computation")
     blocks = gather_intersections(a, b, band_rows)
     block = next(blocks, None)
     for r0 in range(0, max(a.n_rows, 1), band_rows):
         r1 = min(r0 + band_rows, a.n_rows)
-        shape = (r1 - r0, b.n_rows)
-        band = scratch("band", shape) if reuse else np.empty(shape)
+        band = scratch("band", (r1 - r0, b.n_rows))
         band.fill(semiring.reduce.identity)
         while block is not None and block[0] < r1:
             s0, s1, cells, a_vals, b_vals = block
@@ -184,13 +175,6 @@ def _intersection_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
                                                    prods)
             block = next(blocks, None)
         yield r0, r1, band
-
-
-def intersection_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
-                       product_op: Optional[Callable] = None) -> np.ndarray:
-    """⊕-reduce ⊗ over intersecting nonzero columns for every row pair."""
-    op = product_op if product_op is not None else semiring.product
-    return next(_intersection_bands(a, b, semiring, op, max(a.n_rows, 1)))[2]
 
 
 def co_occurrence_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
@@ -207,7 +191,7 @@ def co_occurrence_counts(a: CSRMatrix, b: CSRMatrix) -> np.ndarray:
 
 
 def _union_sum_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
-                     band_rows: int, reuse: bool = False) -> Iterator[Band]:
+                     band_rows: int) -> Iterator[Band]:
     """The ⊕ = + union block by Eq. 3, ``band_rows`` rows at a time: the
     corrected intersection plus both side sums, computed once per call."""
     op = semiring.product
@@ -220,7 +204,7 @@ def _union_sum_bands(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
     ra = _row_side_sums(a, lambda v: op(v, np.zeros_like(v)))
     rb = _row_side_sums(b, lambda v: op(np.zeros_like(v), v))
     for r0, r1, band in _intersection_bands(a, b, semiring, corrected,
-                                            band_rows, reuse):
+                                            band_rows):
         band += ra[r0:r1, None]
         band += rb[None, :]
         yield r0, r1, band
@@ -286,44 +270,29 @@ def _sweep_dense_rows(out, staged: CSRMatrix, streamed: CSRMatrix, op, ufunc,
             out[start:stop][:, nonempty] = sub
 
 
-def union_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring) -> np.ndarray:
-    """⊕-reduce ⊗ over the full union of nonzero columns (NAMM)."""
-    name = semiring.reduce.name
-    if name == "plus":
-        return next(_union_sum_bands(a, b, semiring, max(a.n_rows, 1)))[2]
-    if name in _IDEMPOTENT_UFUNCS:
-        return _union_block_idempotent(a, b, semiring)
-    raise SemiringError(
-        f"unsupported reduce monoid {name!r} for union computation")
-
-
 def semiring_block(a: CSRMatrix, b: CSRMatrix, semiring: Semiring,
-                   sink: Optional[Callable[[int, int, np.ndarray], None]] = None,
-                   ) -> Optional[np.ndarray]:
-    """Dispatch to intersection or union per the semiring's annihilation.
+                   sink: Callable[[int, int, np.ndarray], None]) -> None:
+    """Hand the ``(a.n_rows, b.n_rows)`` block of ``semiring`` to ``sink``,
+    by intersection or union per the semiring's annihilation.
 
-    Without ``sink``, returns the ``(a.n_rows, b.n_rows)`` block, a fresh
-    array. With one, calls ``sink(r0, r1, rows)`` for consecutive row
-    bands of at most :data:`_BAND_CELLS` cells (one row at least), in row
-    order, and returns None. ``rows`` equals ``block[r0:r1]`` bit for bit;
-    the sink may overwrite it, but it is valid only until the sink
-    returns, because the next band (or the next call on this thread)
-    reuses its buffer, so copy it to keep it. The ⊕ = max/min union,
-    whose two sweeps each cover every row, hands over its block as one
-    band.
+    Calls ``sink(r0, r1, rows)`` for consecutive row bands of at most
+    :data:`_BAND_CELLS` cells (one row at least), in row order. The sink
+    may overwrite ``rows``, but it is valid only until the sink returns,
+    because the next band (or the next call on this thread) reuses its
+    buffer, so copy it to keep it. The ⊕ = max/min union, whose two
+    sweeps each cover every row, hands over its block as one band.
     """
-    reuse = sink is not None
-    band_rows = (max(1, _BAND_CELLS // max(b.n_rows, 1)) if reuse
-                 else max(a.n_rows, 1))
+    reduce_name = semiring.reduce.name
+    if reduce_name != "plus" and reduce_name not in _IDEMPOTENT_UFUNCS:
+        raise SemiringError(
+            f"unsupported reduce monoid {reduce_name!r} for block computation")
+    band_rows = max(1, _BAND_CELLS // max(b.n_rows, 1))
     if semiring.is_annihilating:
         bands = _intersection_bands(a, b, semiring, semiring.product,
-                                    band_rows, reuse)
-    elif semiring.reduce.name == "plus":
-        bands = _union_sum_bands(a, b, semiring, band_rows, reuse)
+                                    band_rows)
+    elif reduce_name == "plus":
+        bands = _union_sum_bands(a, b, semiring, band_rows)
     else:
-        bands = iter([(0, a.n_rows, union_block(a, b, semiring))])
-    if sink is None:
-        return next(bands)[2]
+        bands = [(0, a.n_rows, _union_block_idempotent(a, b, semiring))]
     for r0, r1, rows in bands:
         sink(r0, r1, rows)
-    return None

@@ -3,8 +3,9 @@
 The end-to-end k-NN benchmark (paper §4.2) computes the pairwise block in
 row batches and keeps only each query's k nearest — that is what lets the
 primitive "scale to datasets where the dense pairwise distance matrix may
-not otherwise fit in the memory of the GPU". :class:`TopKAccumulator`
-maintains the running k-best across batches of *candidate columns*.
+not otherwise fit in the memory of the GPU". :func:`select_topk` picks a
+batch's k best, and :class:`TopKAccumulator` keeps the running k-best
+across batches of *candidate columns* (tiles or shards).
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ def suppress_pairs(values: np.ndarray, indices: np.ndarray,
 
 
 class TopKAccumulator:
-    """Running k-nearest merge across column batches of the distance block."""
+    """Running k-nearest merge across column batches of the distance block,
+    each pre-selected by :func:`select_topk`."""
 
     def __init__(self, n_rows: int, k: int):
         if n_rows < 0 or k <= 0:
@@ -117,29 +119,6 @@ class TopKAccumulator:
         self.k = int(k)
         self._values = np.full((n_rows, 0), np.inf)
         self._indices = np.zeros((n_rows, 0), dtype=np.int64)
-
-    def update(self, distances: np.ndarray, col_offset: int = 0) -> None:
-        """Merge a new batch of columns into the running best.
-
-        The batch's local column ``c`` maps to global column
-        ``col_offset + c``. Shards, whose columns are not contiguous,
-        merge their pre-selected candidates through :meth:`update_pairs`.
-        """
-        distances = np.asarray(distances, dtype=np.float64)
-        if distances.ndim != 2:
-            raise ValueError(
-                f"update expects a 2-D batch, got {distances.ndim}-D")
-        if distances.shape[0] != self.n_rows:
-            raise ValueError(
-                f"batch has {distances.shape[0]} rows, expected {self.n_rows}")
-        if col_offset < 0:
-            raise ValueError(
-                f"col_offset must be non-negative, got {col_offset}")
-        k_local = min(self.k, distances.shape[1])
-        if k_local == 0:
-            return
-        val, idx = select_topk(distances, k_local)
-        self._merge(val, idx + col_offset)
 
     def update_pairs(self, values: np.ndarray, indices: np.ndarray) -> None:
         """Merge pre-selected ``(values, indices)`` candidates.
@@ -160,11 +139,8 @@ class TopKAccumulator:
                 f"batch has {values.shape[0]} rows, expected {self.n_rows}")
         if values.shape[1] == 0:
             return
-        self._merge(values, indices)
-
-    def _merge(self, val: np.ndarray, idx: np.ndarray) -> None:
-        self._values = np.concatenate([self._values, val], axis=1)
-        self._indices = np.concatenate([self._indices, idx], axis=1)
+        self._values = np.concatenate([self._values, values], axis=1)
+        self._indices = np.concatenate([self._indices, indices], axis=1)
         if self._values.shape[1] > self.k:
             self._compact()
 

@@ -16,7 +16,6 @@ segmented reduction in Algorithm 3 both rely on that invariant.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Tuple
 
 import numpy as np
@@ -54,8 +53,10 @@ class CSRMatrix:
         carried along). When false the caller asserts they already are.
     """
 
+    #: ``_stream_costs`` is the hybrid kernel's memo of the costs it derives
+    #: from streaming this matrix (``repro.kernels.coo_spmv._stream_cost``).
     __slots__ = ("indptr", "indices", "data", "_shape", "_transpose",
-                 "_structure_digest")
+                 "_stream_costs")
 
     def __init__(self, indptr, indices, data, shape, *, check: bool = True,
                  sort: bool = True):
@@ -65,7 +66,7 @@ class CSRMatrix:
         n_rows, n_cols = int(shape[0]), int(shape[1])
         self._shape = (n_rows, n_cols)
         self._transpose = None
-        self._structure_digest = None
+        self._stream_costs = None
         if check:
             self._validate()
         if sort:
@@ -242,23 +243,6 @@ class CSRMatrix:
             self._transpose = CSRMatrix(indptr, rows[order], self.data[order],
                                         (k, m), check=False, sort=False)
         return self._transpose
-
-    def structure_digest(self) -> bytes:
-        """A 16-byte blake2b digest of the shape, ``indptr`` and
-        ``indices`` (not the values), computed by the first call and cached.
-
-        Kernels key per-structure costs on it, so a resident operand
-        streamed by every query batch is hashed once, not once per pass.
-        Two threads may compute it at once; both digests are equal, so
-        that race is harmless.
-        """
-        if self._structure_digest is None:
-            digest = hashlib.blake2b(repr(self._shape).encode(),
-                                     digest_size=16)
-            digest.update(self.indptr)
-            digest.update(self.indices)
-            self._structure_digest = digest.digest()
-        return self._structure_digest
 
     # ------------------------------------------------------------------
     # internals

@@ -8,9 +8,8 @@ from repro.core.distances import make_distance
 from repro.core.semiring import dot_product_semiring
 from repro.errors import SemiringError
 from repro.gpusim.specs import VOLTA_V100
-from repro.kernels.functional import semiring_block
 from repro.kernels.naive_csr import NaiveCsrKernel
-from tests.conftest import random_csr
+from tests.conftest import dense_block, random_csr
 
 
 class TestCsrGemm:
@@ -19,7 +18,7 @@ class TestCsrGemm:
         b = random_csr(rng, 7, 14)
         k = CsrGemmKernel(VOLTA_V100)
         k.run(a, b, dot_product_semiring())
-        np.testing.assert_allclose(semiring_block(a, b, dot_product_semiring()),
+        np.testing.assert_allclose(dense_block(a, b, dot_product_semiring()),
                                    a.to_dense() @ b.to_dense().T, atol=1e-12)
 
     def test_output_density_recorded(self, rng):

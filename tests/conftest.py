@@ -5,6 +5,9 @@ with ``benchmarks/`` and the golden-fixture regenerator); this module
 re-exports them because many tests import the helpers directly:
 
     from tests.conftest import random_csr, random_dense
+
+It also holds two helpers that drive the library the way the plan
+executor does: :func:`dense_block` and :func:`merge_column_slices`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.kernels.functional import semiring_block
+from repro.neighbors.topk import TopKAccumulator, select_topk
 from repro.testing import (  # noqa: F401  (re-exported for test modules)
     DEFAULT_SEED,
     random_csr,
@@ -20,6 +25,29 @@ from repro.testing import (  # noqa: F401  (re-exported for test modules)
     skewed_csr,
     skewed_dense,
 )
+
+
+def dense_block(a, b, semiring) -> np.ndarray:
+    """The ``(a.n_rows, b.n_rows)`` block that :func:`semiring_block`
+    hands its sink, gathered band by band out of the reused workspace."""
+    out = np.empty((a.n_rows, b.n_rows))
+
+    def sink(r0, r1, rows):
+        out[r0:r1] = rows
+
+    semiring_block(a, b, semiring, sink)
+    return out
+
+
+def merge_column_slices(d, k, starts):
+    """The sorted k best of each row of ``d``, selected per column slice
+    ``d[:, start:next start]`` with ids offset by the slice start and then
+    merged, as a k-NN tile sink and its consumer do per column tile."""
+    acc = TopKAccumulator(d.shape[0], k)
+    for start, stop in zip(starts, list(starts[1:]) + [d.shape[1]]):
+        val, idx = select_topk(d[:, start:stop], k)
+        acc.update_pairs(val, idx + start)
+    return acc.finalize()
 
 
 @pytest.fixture

@@ -212,10 +212,38 @@ def _expand_cosine_five_temporaries(dot, na, nb, k):
     return out
 
 
+def _expand_dice_masked(dot, na, nb, k):
+    """The Dice epilogue with a masked divide; the oracle for the shared
+    in-place rule."""
+    eps = 1e-300
+    col = np.asarray(na["l0"], dtype=np.float64)[:, None]
+    row = np.asarray(nb["l0"], dtype=np.float64)[None, :]
+    denom = col + row
+    out = np.zeros_like(dot)
+    np.divide(2.0 * dot, denom, out=out, where=denom > eps)
+    out = 1.0 - out
+    out[(col <= eps) & (row <= eps)] = 0.0
+    return out
+
+
+def _expand_jaccard_masked(dot, na, nb, k):
+    """The Jaccard epilogue with a masked divide; the oracle for the shared
+    in-place rule."""
+    eps = 1e-300
+    col = np.asarray(na["l0"], dtype=np.float64)[:, None]
+    row = np.asarray(nb["l0"], dtype=np.float64)[None, :]
+    union = col + row - dot
+    out = np.zeros_like(dot)
+    np.divide(dot, union, out=out, where=union > eps)
+    out = 1.0 - out
+    out[(col <= eps) & (row <= eps)] = 0.0
+    return out
+
+
 class TestCosineEpilogue:
-    """The in-place cosine expansion equals the five-temporary one bit
-    for bit, NaN in the same cells, with the same warnings, on degenerate
-    norms and dots."""
+    """The in-place cosine, Dice and Jaccard expansions equal their
+    masked-divide forms bit for bit, NaN in the same cells, with the same
+    warnings, on degenerate norms and dots."""
 
     SPECIALS = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e-301,
                          5e-324, 1e300])
@@ -227,8 +255,7 @@ class TestCosineEpilogue:
             out = fn(dot.copy(), *norms, 5)
         return out, sorted(str(w.message) for w in caught)
 
-    @pytest.mark.parametrize("seed", range(40))
-    def test_bitwise_equal_to_five_temporaries(self, seed):
+    def _case(self, seed, norm):
         rng = np.random.default_rng([7, seed])
         m, n = (int(v) for v in rng.integers(0, 9, 2))
         norms = []
@@ -236,19 +263,33 @@ class TestCosineEpilogue:
             v = rng.random(size) * 3.0
             special = rng.random(size) < 0.4
             v[special] = rng.choice(self.SPECIALS, int(special.sum()))
-            norms.append({"l2": v})
+            norms.append({norm: v})
         dot = rng.normal(size=(m, n)) * 2.0
         special = rng.random((m, n)) < 0.2
         dot[special] = rng.choice(self.SPECIALS, int(special.sum()))
-        want, want_warnings = self._expand(_expand_cosine_five_temporaries,
-                                           dot, norms)
+        return dot, norms
+
+    def _assert_same(self, metric, oracle, dot, norms):
+        want, want_warnings = self._expand(oracle, dot, norms)
         got, got_warnings = self._expand(
-            make_distance("cosine").apply_expansion, dot, norms)
+            make_distance(metric).apply_expansion, dot, norms)
         assert got_warnings == want_warnings
         nan = np.isnan(want)
         np.testing.assert_array_equal(np.isnan(got), nan)
         np.testing.assert_array_equal(got[~nan].view(np.int64),
                                       want[~nan].view(np.int64))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bitwise_equal_to_five_temporaries(self, seed):
+        self._assert_same("cosine", _expand_cosine_five_temporaries,
+                          *self._case(seed, "l2"))
+
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("metric, oracle", [
+        ("dice", _expand_dice_masked), ("jaccard", _expand_jaccard_masked)])
+    def test_dice_jaccard_bitwise_equal_to_masked_divide(self, metric,
+                                                         oracle, seed):
+        self._assert_same(metric, oracle, *self._case(seed, "l0"))
 
     def test_nan_norm_gives_distance_one(self):
         d = make_distance("cosine").apply_expansion(

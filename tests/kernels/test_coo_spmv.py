@@ -1,22 +1,15 @@
 """Tests for the load-balanced hybrid CSR+COO kernel (Algorithm 3)."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
 from repro.core.semiring import dot_product_semiring, namm_semiring
 from repro.errors import KernelLaunchError
 from repro.gpusim.specs import VOLTA_V100
-from repro.kernels.coo_spmv import (
-    LoadBalancedCooKernel,
-    _stream_key,
-    _total_intersections,
-)
-from repro.kernels.functional import semiring_block
+from repro.kernels.coo_spmv import LoadBalancedCooKernel, _total_intersections
 from repro.kernels.strategy import RowCacheStrategy
 from repro.sparse.csr import CSRMatrix
-from tests.conftest import random_csr
+from tests.conftest import dense_block, random_csr
 
 
 def _manhattan():
@@ -34,23 +27,6 @@ class TestTotalIntersections:
     def test_empty(self, rng):
         assert _total_intersections(CSRMatrix.empty((3, 5)),
                                     random_csr(rng, 2, 5)) == 0.0
-
-
-class TestStreamKey:
-    def test_key_is_the_structure_digest_computed_once(self, rng):
-        a = random_csr(rng, 6, 9)
-        digest = hashlib.blake2b(repr(a.shape).encode(), digest_size=16)
-        digest.update(a.indptr)
-        digest.update(a.indices)
-        assert _stream_key(a, VOLTA_V100) == (
-            digest.digest(), VOLTA_V100.warp_size, VOLTA_V100.smem_banks)
-        assert a.structure_digest() is a.structure_digest()
-
-    def test_digest_ignores_values_not_structure(self, rng):
-        a = random_csr(rng, 6, 9)
-        scaled = a.map_values(lambda v: 2.0 * v)
-        assert scaled.structure_digest() == a.structure_digest()
-        assert a.slice_rows(0, 5).structure_digest() != a.structure_digest()
 
 
 class TestStrategySelection:
@@ -83,7 +59,7 @@ class TestStrategySelection:
         k.run(a, a, dot_product_semiring())
         assert all(p.strategy is RowCacheStrategy.BLOOM
                    for p in k.last_profiles)
-        np.testing.assert_allclose(semiring_block(a, a, dot_product_semiring()),
+        np.testing.assert_allclose(dense_block(a, a, dot_product_semiring()),
                                    a.to_dense() @ a.to_dense().T, atol=1e-9)
 
     def test_dense_too_wide_raises(self):
@@ -119,7 +95,7 @@ class TestPassStructure:
         b = random_csr(rng, 10, 25)
         k.run(a, b, _manhattan())
         want = np.abs(a.to_dense()[:, None] - b.to_dense()[None]).sum(-1)
-        np.testing.assert_allclose(semiring_block(a, b, _manhattan()), want,
+        np.testing.assert_allclose(dense_block(a, b, _manhattan()), want,
                                    atol=1e-9)
 
     def test_workspace_is_nnz_of_streamed(self, rng):
@@ -145,7 +121,7 @@ class TestHighDegreePartitioning:
                       (1, 2000))
         k.run(a, b, dot_product_semiring())
         assert k.last_profiles[0].n_blocks == 3
-        np.testing.assert_allclose(semiring_block(a, b, dot_product_semiring()),
+        np.testing.assert_allclose(dense_block(a, b, dot_product_semiring()),
                                    a.to_dense() @ b.to_dense().T)
 
 

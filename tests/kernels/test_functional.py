@@ -4,22 +4,24 @@ import numpy as np
 import pytest
 
 from repro.core.distances import available_distances, make_distance
-from repro.core.monoid import MAX
-from repro.core.semiring import (
-    dot_product_semiring,
-    namm_semiring,
-    tropical_semiring,
-)
+from repro.core.monoid import MAX, MIN, TIMES, Monoid
+from repro.core.semiring import Semiring, dot_product_semiring, namm_semiring
 from repro.kernels import functional
 from repro.kernels.functional import (
     co_occurrence_counts,
     gather_intersections,
-    intersection_block,
     semiring_block,
-    union_block,
 )
 from repro.sparse.csr import CSRMatrix
-from tests.conftest import random_csr
+from repro.workspace import MAX_CELLS
+from tests.conftest import dense_block, random_csr
+
+#: ⊕ = max over ⊗ = ×, which annihilates on max's identity 0
+MAX_TIMES = Semiring("max-times", MAX, TIMES)
+#: ⊕ = min over ⊗ = +, made annihilating on min's identity +inf
+MIN_PLUS = Semiring("min-plus", MIN, Monoid(
+    "plus-inf", np.add, identity=0.0, commutative=True,
+    annihilator=float("inf")))
 
 
 # ----------------------------------------------------------------------
@@ -174,22 +176,21 @@ class TestIntersectionBlock:
     def test_dot_product_matches_dense(self, rng):
         a = random_csr(rng, 11, 9)
         b = random_csr(rng, 8, 9)
-        got = intersection_block(a, b, dot_product_semiring())
+        got = dense_block(a, b, dot_product_semiring())
         np.testing.assert_allclose(got, a.to_dense() @ b.to_dense().T,
                                    atol=1e-12)
 
     def test_empty_rows_give_identity(self, rng):
         a = CSRMatrix.empty((3, 6))
         b = random_csr(rng, 4, 6)
-        got = intersection_block(a, b, dot_product_semiring())
+        got = dense_block(a, b, dot_product_semiring())
         np.testing.assert_allclose(got, 0.0)
 
     def test_max_reduce(self, rng):
         a = random_csr(rng, 6, 8, positive=True)
         b = random_csr(rng, 5, 8, positive=True)
-        sr = namm_semiring(lambda x, y: x * y, reduce=MAX, name="maxprod")
         # intersection under max: max over shared cols of x*y
-        got = intersection_block(a, b, sr, product_op=lambda x, y: x * y)
+        got = dense_block(a, b, MAX_TIMES)
         da, db = a.to_dense(), b.to_dense()
         prod = da[:, None, :] * db[None, :, :]
         prod[(da[:, None, :] == 0) | (db[None, :, :] == 0)] = 0.0
@@ -201,7 +202,7 @@ class TestUnionBlock:
         a = random_csr(rng, 10, 13)
         b = random_csr(rng, 9, 13)
         sr = namm_semiring(lambda x, y: np.abs(x - y), name="manhattan")
-        got = union_block(a, b, sr)
+        got = dense_block(a, b, sr)
         da, db = a.to_dense(), b.to_dense()
         want = np.abs(da[:, None, :] - db[None, :, :]).sum(axis=-1)
         np.testing.assert_allclose(got, want, atol=1e-9)
@@ -211,7 +212,7 @@ class TestUnionBlock:
         b = random_csr(rng, 9, 13)
         sr = namm_semiring(lambda x, y: np.abs(x - y), reduce=MAX,
                            name="chebyshev")
-        got = union_block(a, b, sr)
+        got = dense_block(a, b, sr)
         da, db = a.to_dense(), b.to_dense()
         want = np.abs(da[:, None, :] - db[None, :, :]).max(axis=-1)
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -220,17 +221,17 @@ class TestUnionBlock:
         a = CSRMatrix.empty((4, 6))
         b = random_csr(rng, 3, 6)
         sr = namm_semiring(lambda x, y: np.abs(x - y), name="manhattan")
-        got = union_block(a, b, sr)
+        got = dense_block(a, b, sr)
         want = np.tile(np.abs(b.to_dense()).sum(axis=1), (4, 1))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_dispatch(self, rng):
         a = random_csr(rng, 5, 7)
         b = random_csr(rng, 4, 7)
-        dot = semiring_block(a, b, dot_product_semiring())
+        dot = dense_block(a, b, dot_product_semiring())
         np.testing.assert_allclose(dot, a.to_dense() @ b.to_dense().T,
                                    atol=1e-12)
-        manhattan = semiring_block(
+        manhattan = dense_block(
             a, b, namm_semiring(lambda x, y: np.abs(x - y), name="m"))
         want = np.abs(a.to_dense()[:, None] - b.to_dense()[None]).sum(-1)
         np.testing.assert_allclose(manhattan, want, atol=1e-9)
@@ -270,11 +271,9 @@ class TestBlockedMatchesChunkedOracle:
     def test_plus_max_min(self, seed, monkeypatch):
         a, b, chunk, block = self._case(seed)
         _force_sizes(monkeypatch, chunk, block)
-        for sr in (dot_product_semiring(),
-                   namm_semiring(lambda x, y: x * y, reduce=MAX),
-                   tropical_semiring()):
+        for sr in (dot_product_semiring(), MAX_TIMES, MIN_PLUS):
             _assert_same_bits(
-                intersection_block(a, b, sr),
+                dense_block(a, b, sr),
                 _oracle_intersection(a, b, sr, sr.product, chunk))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -283,7 +282,7 @@ class TestBlockedMatchesChunkedOracle:
         a, b, chunk, block = self._case(seed)
         _force_sizes(monkeypatch, chunk, block)
         sr = namm_semiring(lambda x, y: np.abs(x - y), name="manhattan")
-        _assert_same_bits(union_block(a, b, sr),
+        _assert_same_bits(dense_block(a, b, sr),
                           _oracle_union_sum(a, b, sr, chunk))
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -311,8 +310,8 @@ class TestBlockedMatchesChunkedOracle:
 
 class TestBandsMatchWholeBlock:
     """The row bands ``semiring_block`` hands a sink concatenate to the
-    whole block bit for bit, under band, block and chunk sizes small
-    enough that their boundaries interleave."""
+    whole block, handed over as one band, bit for bit, under band, block
+    and chunk sizes small enough that their boundaries interleave."""
 
     SEEDS = TestBlockedMatchesChunkedOracle.SEEDS
 
@@ -337,6 +336,8 @@ class TestBandsMatchWholeBlock:
         for seed in self.SEEDS:
             a, b, chunk, block, band_cells = self._case(seed)
             _force_sizes(monkeypatch, chunk, block)
+            monkeypatch.setattr(functional, "_BAND_CELLS", MAX_CELLS)
+            [(_, _, whole)] = self._bands(a, b, sr)
             monkeypatch.setattr(functional, "_BAND_CELLS", band_cells)
             bands = self._bands(a, b, sr)
             starts = [r0 for r0, _, _ in bands]
@@ -347,7 +348,7 @@ class TestBandsMatchWholeBlock:
                 assert rows.shape == (r1 - r0, b.n_rows)
                 assert one_band or r1 - r0 <= band_rows
             _assert_same_bits(np.concatenate([r for _, _, r in bands]),
-                              semiring_block(a, b, sr))
+                              whole)
 
     def test_cases_cover_the_boundaries(self, monkeypatch):
         """Some band holds a row that a chunk boundary splits beside other

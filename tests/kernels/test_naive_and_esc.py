@@ -8,10 +8,9 @@ from repro.core.semiring import dot_product_semiring, namm_semiring
 from repro.errors import KernelLaunchError
 from repro.gpusim.specs import VOLTA_V100
 from repro.kernels.expand_sort_contract import ExpandSortContractKernel
-from repro.kernels.functional import semiring_block
 from repro.kernels.naive_csr import NaiveCsrKernel
 from repro.sparse.csr import CSRMatrix
-from tests.conftest import random_csr
+from tests.conftest import dense_block, random_csr
 
 
 def _manhattan():
@@ -23,7 +22,7 @@ class TestNaiveCsr:
         a = random_csr(rng, 9, 12)
         b = random_csr(rng, 7, 12)
         NaiveCsrKernel(VOLTA_V100).run(a, b, dot_product_semiring())
-        np.testing.assert_allclose(semiring_block(a, b, dot_product_semiring()),
+        np.testing.assert_allclose(dense_block(a, b, dot_product_semiring()),
                                    a.to_dense() @ b.to_dense().T, atol=1e-9)
 
     def test_numeric_union(self, rng):
@@ -31,7 +30,7 @@ class TestNaiveCsr:
         b = random_csr(rng, 6, 10)
         NaiveCsrKernel(VOLTA_V100).run(a, b, _manhattan())
         want = np.abs(a.to_dense()[:, None] - b.to_dense()[None]).sum(-1)
-        np.testing.assert_allclose(semiring_block(a, b, _manhattan()), want,
+        np.testing.assert_allclose(dense_block(a, b, _manhattan()), want,
                                    atol=1e-9)
 
     def test_exhaustive_even_for_dot(self, rng):
@@ -68,7 +67,7 @@ class TestNaiveCsr:
     def test_empty_inputs(self):
         a = CSRMatrix.empty((3, 5))
         NaiveCsrKernel(VOLTA_V100).run(a, a, _manhattan())
-        np.testing.assert_allclose(semiring_block(a, a, _manhattan()), 0.0)
+        np.testing.assert_allclose(dense_block(a, a, _manhattan()), 0.0)
 
 
 class TestExpandSortContract:
@@ -77,7 +76,7 @@ class TestExpandSortContract:
         b = random_csr(rng, 5, 11)
         ExpandSortContractKernel(VOLTA_V100).run(a, b, _manhattan())
         want = np.abs(a.to_dense()[:, None] - b.to_dense()[None]).sum(-1)
-        np.testing.assert_allclose(semiring_block(a, b, _manhattan()), want,
+        np.testing.assert_allclose(dense_block(a, b, _manhattan()), want,
                                    atol=1e-9)
 
     def test_one_block_per_pair(self, rng):

@@ -5,8 +5,8 @@ else: the base class launches that schedule in ``run`` and prices it in
 ``estimate_seconds``. These tests pin what that buys — schedules are pure
 (equal operands, equal schedules, any call order), pricing a schedule
 equals launching it, launching never mutates it, and the hybrid kernel's
-cached stream costs are exactly the recount, whose atomic count keeps the
-§3.3 bound.
+stream costs, memoized on the streamed operand, are exactly the recount,
+whose atomic count keeps the §3.3 bound.
 """
 
 import sys
@@ -105,55 +105,49 @@ class TestAtomicBound:
 
 
 def test_stream_cost_cache_hit_equals_recount(rng):
+    """A second count on the same operand is a memo hit equal to the
+    recount; an equal structure held by another object is counted
+    afresh."""
     spec = VOLTA_V100
     b = random_csr(rng, 30, 50, 0.4)
-    coo_spmv._STREAM_COSTS.clear()
     recount = coo_spmv._sample_bank_conflicts(b, spec)
-    assert coo_spmv._stream_cost(
-        "bank_conflicts", coo_spmv._stream_key(b, spec), b, spec,
-        coo_spmv._sample_bank_conflicts) == recount
-    # same sparsity structure, other values: a hit, keyed by structure
-    revalued = CSRMatrix(b.indptr.copy(), b.indices.copy(), b.data * 3,
-                         b.shape)
+    assert coo_spmv._stream_cost("bank_conflicts", b, spec,
+                                 coo_spmv._sample_bank_conflicts) == recount
 
     def never(*_):
-        raise AssertionError("expected a cache hit")
+        raise AssertionError("expected a memo hit")
 
-    assert coo_spmv._stream_cost(
-        "bank_conflicts", coo_spmv._stream_key(revalued, spec), revalued,
-        spec, never) == recount
+    assert coo_spmv._stream_cost("bank_conflicts", b, spec, never) == recount
+    counted = []
+
+    def count(x, s):
+        counted.append(x)
+        return coo_spmv._sample_bank_conflicts(x, s)
+
+    twin = b.copy()
+    assert coo_spmv._stream_cost("bank_conflicts", twin, spec,
+                                 count) == recount
+    assert len(counted) == 1 and counted[0] is twin
 
 
 def test_stream_cost_cache_under_concurrent_tile_workers(rng):
-    """Tile workers share the cache: with more threads than cores and a
-    short switch interval, every lookup still returns its own recount and
-    the cache never outgrows its bound."""
+    """Tile workers share each operand's memo: with more threads than
+    cores and a short switch interval, every lookup still returns its own
+    recount."""
     spec = VOLTA_V100
     operands = [random_csr(rng, 5 + i, 16, 0.4) for i in range(80)]
     want = [coo_spmv._atomics_per_block(x, spec) for x in operands]
-    coo_spmv._STREAM_COSTS.clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
-            futures = [pool.submit(coo_spmv._stream_cost, "atomics",
-                                   coo_spmv._stream_key(x, spec), x, spec,
+            futures = [pool.submit(coo_spmv._stream_cost, "atomics", x, spec,
                                    coo_spmv._atomics_per_block)
                        for x in operands * 4]
             got = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
     assert got == want * 4
-    assert len(coo_spmv._STREAM_COSTS) <= coo_spmv._STREAM_COSTS_MAX
-
-
-def test_stream_cost_cache_is_bounded(rng):
-    coo_spmv._STREAM_COSTS.clear()
-    for n_rows in range(1, coo_spmv._STREAM_COSTS_MAX + 10):
-        x = random_csr(rng, n_rows, 8, 0.5)
-        coo_spmv._stream_cost("atomics", coo_spmv._stream_key(x, VOLTA_V100),
-                              x, VOLTA_V100, coo_spmv._atomics_per_block)
-    assert len(coo_spmv._STREAM_COSTS) == coo_spmv._STREAM_COSTS_MAX
 
 
 class OneLaunchKernel(PairwiseKernel):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.neighbors.topk import TopKAccumulator, select_topk
+from tests.conftest import merge_column_slices
 
 
 class TestSelectTopk:
@@ -46,37 +47,24 @@ class TestSelectTopk:
 class TestAccumulator:
     def test_batched_equals_oneshot(self, rng):
         d = rng.random((8, 57))
-        acc = TopKAccumulator(8, 6)
-        for start in range(0, 57, 10):
-            acc.update(d[:, start:start + 10], start)
-        got_val, got_idx = acc.finalize()
+        got_val, got_idx = merge_column_slices(d, 6, range(0, 57, 10))
         want_val, want_idx = select_topk(d, 6)
         np.testing.assert_allclose(got_val, want_val)
         np.testing.assert_array_equal(got_idx, want_idx)
 
     def test_single_batch(self, rng):
         d = rng.random((3, 9))
-        acc = TopKAccumulator(3, 4)
-        acc.update(d, 0)
-        val, idx = acc.finalize()
+        val, idx = merge_column_slices(d, 4, [0])
         w_val, w_idx = select_topk(d, 4)
         np.testing.assert_allclose(val, w_val)
         np.testing.assert_array_equal(idx, w_idx)
 
     def test_tiny_batches(self, rng):
         d = rng.random((5, 20))
-        acc = TopKAccumulator(5, 3)
-        for c in range(20):
-            acc.update(d[:, c:c + 1], c)
-        val, idx = acc.finalize()
+        val, idx = merge_column_slices(d, 3, range(20))
         w_val, w_idx = select_topk(d, 3)
         np.testing.assert_allclose(val, w_val)
         np.testing.assert_array_equal(idx, w_idx)
-
-    def test_row_mismatch_rejected(self, rng):
-        acc = TopKAccumulator(4, 2)
-        with pytest.raises(ValueError):
-            acc.update(rng.random((3, 5)), 0)
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
@@ -96,26 +84,9 @@ class TestBoundaryTies:
         selection even when values repeat across the split."""
         vals = rng.integers(0, 4, size=(6, 30)).astype(np.float64)
         want_val, want_idx = select_topk(vals, 5)
-        acc = TopKAccumulator(6, 5)
-        acc.update(vals[:, :13], 0)
-        acc.update(vals[:, 13:], 13)
-        got_val, got_idx = acc.finalize()
+        got_val, got_idx = merge_column_slices(vals, 5, [0, 13])
         np.testing.assert_array_equal(got_val, want_val)
         np.testing.assert_array_equal(got_idx, want_idx)
-
-
-class TestUpdateValidation:
-    def test_rejects_1d_batch(self, rng):
-        with pytest.raises(ValueError, match="2-D"):
-            TopKAccumulator(4, 2).update(rng.random(5), 0)
-
-    def test_rejects_row_count_mismatch(self, rng):
-        with pytest.raises(ValueError, match="rows"):
-            TopKAccumulator(4, 2).update(rng.random((3, 5)), 0)
-
-    def test_rejects_negative_offset(self, rng):
-        with pytest.raises(ValueError, match="col_offset"):
-            TopKAccumulator(4, 2).update(rng.random((4, 5)), -1)
 
 
 class TestUpdatePairs:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from repro.kernels.bloom_filter import BlockBloomFilter
 from repro.kernels.hash_table import BlockHashTable
 from repro.kernels.strategy import plan_partitions
-from repro.neighbors.topk import TopKAccumulator, select_topk
+from repro.neighbors.topk import select_topk
+from tests.conftest import merge_column_slices
 
 
 @given(st.lists(st.integers(0, 10**6), unique=True, min_size=0, max_size=200),
@@ -82,10 +83,7 @@ def test_topk_matches_full_sort(n_rows, n_cols, k, seed):
 def test_topk_accumulator_batch_invariance(n_rows, n_cols, k, batch, seed):
     rng = np.random.default_rng(seed)
     d = rng.random((n_rows, n_cols))
-    acc = TopKAccumulator(n_rows, k)
-    for start in range(0, n_cols, batch):
-        acc.update(d[:, start:start + batch], start)
-    got_val, got_idx = acc.finalize()
+    got_val, got_idx = merge_column_slices(d, k, range(0, n_cols, batch))
     want_val, want_idx = select_topk(d, k)
     np.testing.assert_allclose(got_val, want_val)
     np.testing.assert_array_equal(got_idx, want_idx)

