@@ -26,6 +26,19 @@ __all__ = ["select_topk", "suppress_pairs", "TopKAccumulator",
 #: can never displace a real candidate.
 SUPPRESSED_ID = np.int64(2 ** 62)
 
+#: Column groups per unit of k for guessing a row's k-th key. The guess is
+#: the k-th smallest group minimum: k minima are k distinct entries, so it
+#: is never below the k-th key, and it is above it only when two of the
+#: row's k smallest entries share a group. More groups make that rarer;
+#: fewer make the minima cheaper to partition. At 16 per k, a high guess
+#: leaves its row fewer than about n_cols / 16 entries below it, which is
+#: all the row then has to select from.
+_GROUPS_PER_K = 16
+#: Bands narrower than this many columns per unit of k partition each row
+#: outright: below two columns per group, the minima take as long to
+#: partition as half the band, and the guess saves too little.
+_NARROW_PER_K = 2 * _GROUPS_PER_K
+
 
 def select_topk(distances: np.ndarray, k: int,
                 ascending: bool = True) -> Tuple[np.ndarray, np.ndarray]:
@@ -37,7 +50,15 @@ def select_topk(distances: np.ndarray, k: int,
     strictly below the row's k-th smallest key is kept, then the
     lowest-index entries equal to it. The picks do not depend on how the
     columns were split, so a shard or tile merge selects the same ids.
-    ``distances`` is only read; the partition copy and the masks live in
+
+    The k-th key is guessed from the minima of ``16·k`` column groups and
+    checked by the count of entries below the guess: it is the key exactly
+    when fewer than k are. A guess found high is replaced by the k-th
+    smallest entry below it, and a NaN guess (fewer than k groups hold a
+    number), like every row of a band narrower than ``32·k`` columns, is
+    partitioned. Only comparisons with the k-th key decide the picks, so
+    the route a row takes never changes them. ``distances`` is only read;
+    the group minima, the partition copy and the keep/tie masks live in
     this thread's workspace.
     """
     distances = np.asarray(distances, dtype=np.float64)
@@ -50,32 +71,80 @@ def select_topk(distances: np.ndarray, k: int,
     if k == 0:
         return np.empty((n_rows, 0)), np.empty((n_rows, 0), dtype=np.int64)
     keyed = distances if ascending else -distances
-    part = scratch("topk.partition", keyed.shape)
-    np.copyto(part, keyed)
-    part.partition(k - 1, axis=1)
-    kth = part[:, [k - 1]]
-    keep = np.less(keyed, kth, out=scratch("topk.keep", keyed.shape,
-                                           np.bool_))
-    tied = np.equal(keyed, kth, out=scratch("topk.tied", keyed.shape,
-                                            np.bool_))
+    if n_cols < _NARROW_PER_K * k:
+        kth = _partition_kth(keyed, k)
+    else:
+        kth = _guess_kth(keyed, k)
+        unknown = np.flatnonzero(np.isnan(kth))
+        if unknown.size:
+            kth[unknown] = _partition_kth(keyed[unknown], k)
+    keep = np.less(keyed, kth[:, None],
+                   out=scratch("topk.keep", keyed.shape, np.bool_))
     # A NaN k-th key (it sorts last) keeps every number and ties the NaNs.
     nan_rows = np.flatnonzero(np.isnan(kth))
     if nan_rows.size:
-        tied[nan_rows] = np.isnan(keyed[nan_rows])
-        keep[nan_rows] = ~tied[nan_rows]
-    # A row with more ties than free slots keeps its lowest-index ties,
-    # ranked by a running count in the narrowest dtype that holds n_cols.
-    need = k - np.count_nonzero(keep, axis=1)
-    over = np.flatnonzero(np.count_nonzero(tied, axis=1) > need)
-    rank = np.cumsum(tied[over], axis=1, dtype=np.min_scalar_type(n_cols))
-    tied[over] &= rank <= need[over, None]
-    keep |= tied
-    idx = np.flatnonzero(keep).reshape(n_rows, k) % n_cols
+        keep[nan_rows] = ~np.isnan(keyed[nan_rows])
+    kept = np.flatnonzero(keep)
+    starts = np.arange(n_rows + 1) * n_cols
+    n_keep = np.diff(np.searchsorted(kept, starts))
+    # k or more entries below the guess put it above the k-th key, which
+    # is then the k-th smallest of them: they lie in fewer than k groups.
+    high = n_keep >= k
+    if high.any():
+        row, col = np.divmod(kept, n_cols)
+        val = keyed[row, col]
+        mine = high[row]
+        below = val[mine]
+        order = np.lexsort((below, row[mine]))
+        first = np.cumsum(n_keep[high]) - n_keep[high]
+        kth[high] = below[order[first + k - 1]]
+        kept = kept[~mine | (val < kth[row])]
+        n_keep = np.diff(np.searchsorted(kept, starts))
+    tied = np.equal(keyed, kth[:, None],
+                    out=scratch("topk.tied", keyed.shape, np.bool_))
+    if nan_rows.size:
+        tied[nan_rows] = ~keep[nan_rows]
+    # Each row takes its first k - n_keep ties, the lowest-index ones,
+    # read off the ties' positions: ties[tie0[r]:] are row r's, in order.
+    ties = np.flatnonzero(tied)
+    tie0 = np.searchsorted(ties, starts[:-1])
+    need = k - n_keep
+    cut = np.arange(n_rows * k - kept.size) + np.repeat(
+        tie0 - np.cumsum(need) + need, need)
+    picks = np.concatenate([kept, ties[cut]])
+    picks.sort()
+    idx = picks.reshape(n_rows, k) % n_cols
     rows = np.arange(n_rows)[:, None]
     val = keyed[rows, idx]
     # Sort the k picks by (value, index).
     order = np.lexsort((idx, val), axis=1)
     return (val if ascending else -val)[rows, order], idx[rows, order]
+
+
+def _partition_kth(keyed: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest key (NaN last), from a partitioned copy."""
+    part = scratch("topk.partition", keyed.shape)
+    np.copyto(part, keyed)
+    part.partition(k - 1, axis=1)
+    return part[:, k - 1].copy()
+
+
+def _guess_kth(keyed: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k-th smallest ``np.fmin`` minimum of ``16·k`` column
+    groups: never below the row's k-th key, NaN where fewer than k groups
+    hold a number. Group ``g`` is every ``16·k``-th column from ``g``, so
+    the grouped band is a view; the leftover columns join the first
+    groups."""
+    n_rows, n_cols = keyed.shape
+    groups = _GROUPS_PER_K * k
+    whole = n_cols - n_cols % groups
+    mins = np.fmin.reduce(
+        keyed[:, :whole].reshape(n_rows, whole // groups, groups), axis=1,
+        out=scratch("topk.minima", (n_rows, groups)))
+    tail = n_cols - whole
+    np.fmin(mins[:, :tail], keyed[:, whole:], out=mins[:, :tail])
+    mins.partition(k - 1, axis=1)
+    return mins[:, k - 1].copy()
 
 
 def suppress_pairs(values: np.ndarray, indices: np.ndarray,

@@ -11,8 +11,8 @@ path drop its per-batch query re-preparation and norm recomputation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -140,16 +140,6 @@ class PairwisePlan:
     #: the autotuner's decision record when the plan was built with
     #: ``engine="auto"`` (None for fixed-engine plans)
     tuning: Optional[TuningChoice] = None
-    #: row-band slices, materialized lazily and cached (shared by tiles in
-    #: the same band, so each band is sliced exactly once)
-    _a_bands: List[Optional[CSRMatrix]] = field(default_factory=list,
-                                                repr=False)
-    _b_bands: List[Optional[CSRMatrix]] = field(default_factory=list,
-                                                repr=False)
-
-    def __post_init__(self):
-        self._a_bands = [None] * self.grid.n_bands_a
-        self._b_bands = [None] * self.grid.n_bands_b
 
     # ------------------------------------------------------------------
     @property
@@ -174,26 +164,10 @@ class PairwisePlan:
 
     # ------------------------------------------------------------------
     def a_band(self, band: int) -> CSRMatrix:
-        if self._a_bands[band] is None:
-            lo = int(self.grid.row_starts_a[band])
-            hi = int(self.grid.row_starts_a[band + 1])
-            if lo == 0 and hi == self.a.n_rows:
-                self._a_bands[band] = self.a
-            else:
-                self._a_bands[band] = self.a.slice_rows(lo, hi)
-        return self._a_bands[band]
+        return _row_band(self.a, self.grid.row_starts_a, band)
 
     def b_band(self, band: int) -> CSRMatrix:
-        if self._b_bands[band] is None:
-            lo = int(self.grid.row_starts_b[band])
-            hi = int(self.grid.row_starts_b[band + 1])
-            if lo == 0 and hi == self.b.n_rows:
-                # Self-join single band: reuse the exact object so kernels'
-                # ``b is a`` fast paths still fire.
-                self._b_bands[band] = self.b
-            else:
-                self._b_bands[band] = self.b.slice_rows(lo, hi)
-        return self._b_bands[band]
+        return _row_band(self.b, self.grid.row_starts_b, band)
 
     def norms_slice_a(self, a0: int, a1: int) -> Dict[str, np.ndarray]:
         return {k: v[a0:a1] for k, v in (self.norms_a or {}).items()}
@@ -205,6 +179,29 @@ class PairwisePlan:
         return (f"PairwisePlan({self.measure.name}, shape={self.shape}, "
                 f"engine={getattr(self.kernel, 'name', 'custom')}, "
                 f"tiles={self.grid.n_bands_a}x{self.grid.n_bands_b})")
+
+
+def _row_band(m: CSRMatrix, row_starts: np.ndarray, band: int) -> CSRMatrix:
+    """Rows ``row_starts[band]:row_starts[band + 1]`` of ``m``.
+
+    All of ``m`` is ``m`` itself. Any other band is sliced once per matrix
+    and row range and kept on ``m``: every plan that cuts a resident operand
+    the same way, such as each ``kneighbors()`` of a fitted estimator,
+    streams the same band object, whose transpose and stream costs are then
+    built once, not once per call. A matrix keeps one band per distinct row
+    range it was cut at, so what it holds grows with its tile grids, not
+    with the calls. Two threads may slice one band at once; both get equal
+    bands, so that race is harmless.
+    """
+    lo, hi = int(row_starts[band]), int(row_starts[band + 1])
+    if lo == 0 and hi == m.n_rows:
+        return m
+    bands = m._row_bands
+    if bands is None:
+        bands = m._row_bands = {}
+    if (lo, hi) not in bands:
+        bands[(lo, hi)] = m.slice_rows(lo, hi)
+    return bands[(lo, hi)]
 
 
 def _workspace_per_row_b(b: CSRMatrix) -> float:

@@ -216,8 +216,8 @@ class MutableIndex:
         self._last_compact_ms = 0.0
         self._lock = threading.RLock()
         #: views derived from the current state (suppressed ids, overall
-        #: and per base shard; the delta pseudo-shard), dropped on every
-        #: visible mutation
+        #: and per base shard; the live row count; the delta pseudo-shard),
+        #: dropped on every visible mutation
         self._cache: dict = {}
         self.compaction_reports: List[CompactionReport] = []
         self._touch()
@@ -281,7 +281,9 @@ class MutableIndex:
     @property
     def n_rows(self) -> int:
         """Live (visible) rows — deletions excluded, upserts counted once."""
-        return int(self.live_ids().size)
+        if "n_rows" not in self._cache:
+            self._cache["n_rows"] = int(self.live_ids().size)
+        return self._cache["n_rows"]
 
     @property
     def n_base_shards(self) -> int:

@@ -54,9 +54,11 @@ class CSRMatrix:
     """
 
     #: ``_stream_costs`` is the hybrid kernel's memo of the costs it derives
-    #: from streaming this matrix (``repro.kernels.coo_spmv._stream_cost``).
+    #: from streaming this matrix (``repro.kernels.coo_spmv._stream_cost``);
+    #: ``_row_bands`` holds the row bands plans cut from it
+    #: (``repro.plan.pairwise_plan._row_band``).
     __slots__ = ("indptr", "indices", "data", "_shape", "_transpose",
-                 "_stream_costs")
+                 "_stream_costs", "_row_bands")
 
     def __init__(self, indptr, indices, data, shape, *, check: bool = True,
                  sort: bool = True):
@@ -67,6 +69,7 @@ class CSRMatrix:
         self._shape = (n_rows, n_cols)
         self._transpose = None
         self._stream_costs = None
+        self._row_bands = None
         if check:
             self._validate()
         if sort:

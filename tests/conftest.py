@@ -7,7 +7,8 @@ re-exports them because many tests import the helpers directly:
     from tests.conftest import random_csr, random_dense
 
 It also holds two helpers that drive the library the way the plan
-executor does: :func:`dense_block` and :func:`merge_column_slices`.
+executor does, :func:`dense_block` and :func:`merge_column_slices`, and
+the top-k oracle :func:`stable_topk` with its bitwise check.
 """
 
 from __future__ import annotations
@@ -48,6 +49,23 @@ def merge_column_slices(d, k, starts):
         val, idx = select_topk(d[:, start:stop], k)
         acc.update_pairs(val, idx + start)
     return acc.finalize()
+
+
+def stable_topk(block, k, ascending=True):
+    """The definition of ``select_topk``: the first k of a stable argsort
+    of each row."""
+    keyed = block if ascending else -block
+    idx = np.argsort(keyed, axis=1, kind="stable")[:, :k]
+    return np.take_along_axis(block, idx, axis=1), idx
+
+
+def assert_same_bits(got, want):
+    """Equal ``(values, indices)`` pairs, values compared bit for bit."""
+    got_val, got_idx = got
+    want_val, want_idx = want
+    np.testing.assert_array_equal(got_idx, want_idx)
+    np.testing.assert_array_equal(got_val.view(np.int64),
+                                  want_val.view(np.int64))
 
 
 @pytest.fixture

@@ -189,6 +189,36 @@ class TestPreparedOperands:
             np.testing.assert_array_equal(sliced.norms[kind], values[rows])
 
 
+class TestBandReuse:
+    """A fitted estimator's self-join plans cut its operand into the same
+    B bands on every call, and stream the same band objects, so the hybrid
+    kernel's stream-cost census runs on the first call only."""
+
+    def test_warm_self_join_recounts_no_stream_costs(self, monkeypatch):
+        from repro.kernels import coo_spmv
+
+        calls = []
+        for name in ("_sample_bank_conflicts", "_atomics_per_block"):
+            def count(streamed, spec, name=name,
+                      original=getattr(coo_spmv, name)):
+                calls.append(name)
+                return original(streamed, spec)
+
+            monkeypatch.setattr(coo_spmv, name, count)
+        # The e2e knn-topk workload: two 4422x2211 tiles per call.
+        x = load_dataset("movielens", scale=64, seed=0).matrix
+        nn = NearestNeighbors(n_neighbors=10, metric="manhattan",
+                              engine="hybrid_coo").fit(x)
+        cold = nn.kneighbors()
+        assert nn.last_report.n_batches == 2
+        assert set(calls) == {"_atomics_per_block", "_sample_bank_conflicts"}
+        calls.clear()
+        warm = nn.kneighbors()
+        assert calls == []
+        for got, want in zip(warm, cold):
+            np.testing.assert_array_equal(got, want)
+
+
 class TestMemory:
     """The k-NN path holds one row band of distances at a time, never a
     whole tile (paper §4.2: the dense block need not fit in memory)."""

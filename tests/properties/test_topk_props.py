@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.neighbors.topk import TopKAccumulator, select_topk
-from tests.conftest import merge_column_slices
+from tests.conftest import (assert_same_bits, merge_column_slices,
+                            stable_topk)
 
 VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0, -1.0,
                           np.inf, -np.inf, np.nan])
@@ -26,21 +27,6 @@ def blocks(draw):
     n_cols = draw(st.integers(1, 14))
     block = draw(arrays(np.float64, (n_rows, n_cols), elements=VALUES))
     return block, draw(st.integers(1, n_cols + 2))
-
-
-def stable_topk(block, k, ascending=True):
-    """The definition: the first k of a stable argsort of each row."""
-    keyed = block if ascending else -block
-    idx = np.argsort(keyed, axis=1, kind="stable")[:, :k]
-    return np.take_along_axis(block, idx, axis=1), idx
-
-
-def assert_same_bits(got, want):
-    got_val, got_idx = got
-    want_val, want_idx = want
-    np.testing.assert_array_equal(got_idx, want_idx)
-    np.testing.assert_array_equal(got_val.view(np.int64),
-                                  want_val.view(np.int64))
 
 
 @given(blocks(), st.booleans())

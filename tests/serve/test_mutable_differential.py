@@ -68,6 +68,9 @@ def _assert_identical(index, oracle, queries, k=5, *, n_workers=1):
     want_d, want_i = oracle.fresh_fit_kneighbors(queries, k, metric=METRIC)
     np.testing.assert_array_equal(got_d, want_d)
     np.testing.assert_array_equal(got_i, want_i)
+    # The read above went through the cached live count, which a write
+    # that failed to drop it would have left at its old value.
+    assert index.n_rows == index.live_ids().size == oracle.live_ids().size
 
 
 class TestEveryPrefix:
